@@ -33,7 +33,7 @@ from .network import (
     symbolic_weights,
     validate,
 )
-from .poly import Ring, SparsePoly, monomials_of_degree, poly_eval, poly_partial, poly_pow
+from .poly import Ring, SparsePoly, monomials_of_degree, poly_pow
 from .rank import (
     BlockRankReport,
     DimReport,

@@ -8,8 +8,8 @@ Verbs:
     power-indep      random power-independence trials
     relations        linear relations on a composite Veronese image
 
-Exit codes: 0 success, 2 invalid architecture, 3 sampling exhausted, 4 I/O
-error.  NV_SEED overrides --seed; NV_THREADS sizes the scan worker pool.
+Exit codes: 0 success, 2 invalid input, 3 sampling exhausted, 4 I/O error.
+NV_SEED overrides --seed; NV_THREADS sizes the scan worker pool.
 """
 
 from __future__ import annotations
@@ -19,43 +19,40 @@ import json
 import os
 import sys
 
-from .domains import PrimeField, RATIONALS, random_prime
+from .domains import PrimeField, RATIONALS
 from .errors import ArchitectureError, NeurovarError, SamplingExhausted
 from .network import gauge_fix, validate
 from .rank import (
     DEFAULT_SEED,
     DEFAULT_TRIES,
-    DimReport,
     derive_seed,
     generic_rank,
     neurovariety_stats,
+    resolve_domain,
 )
-from .scan import ScanSpec, emit_report, scan
+from .scan import ScanSpec, emit_report, report_record, scan
 from .theory import expected_secant_dim, ah_secant_defective, theorem_verdict
 from .veronese import composite_veronese, empirical_secant_dim, image_linear_relations, power_threshold_scan
-
-DIMS_KEYS = (
-    "arch",
-    "degrees",
-    "expdim",
-    "expdim_refined",
-    "dim_actual",
-    "fiber_dim",
-    "defective",
-    "verdict",
-    "trials",
-    "seed",
-    "domain",
-    "prime",
-    "pivot",
-)
 
 
 def _int_list(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(v) for v in text.split(",")]
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _prime_arg(text: str) -> int | None:
+    """The --prime value: None for 'auto', else the modulus."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--prime must be 'auto' or an integer, got {text!r}") from None
 
 
 def _add_sampling_args(sub):
@@ -79,14 +76,6 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _resolve_domain(args, seed: int):
-    if args.field == "rational":
-        return RATIONALS
-    if args.prime == "auto":
-        return PrimeField(random_prime(derive_seed(seed, "prime")))
-    return PrimeField(int(args.prime))
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -99,29 +88,10 @@ def _write_out(text: str, out: str | None) -> None:
         raise SystemExit(4)
 
 
-def _dims_record(report: DimReport, verdict_label: str) -> dict:
-    pivots = report.pivots
-    return {
-        "arch": list(report.arch.widths),
-        "degrees": list(report.arch.degrees),
-        "expdim": report.expdim_general,
-        "expdim_refined": report.expdim_refined,
-        "dim_actual": report.dim_actual,
-        "fiber_dim": report.fiber_dim,
-        "defective": report.defective,
-        "verdict": verdict_label,
-        "trials": report.trials,
-        "seed": report.seed,
-        "domain": report.domain_kind,
-        "prime": str(report.prime) if report.prime is not None else None,
-        "pivot": pivots[0] if len(pivots) == 1 else list(pivots),
-    }
-
-
 def cmd_dims(args) -> int:
     seed = _resolve_seed(args)
     arch = validate(_int_list(args.widths), _int_list(args.degrees or ""))
-    domain = _resolve_domain(args, seed)
+    domain = resolve_domain(args.field, _prime_arg(args.prime), seed)
     report = neurovariety_stats(arch, tries=args.tries, seed=seed, domain=domain)
     verdict_label = theorem_verdict(arch).label() if arch.depth >= 2 else "NotApplicable"
 
@@ -138,7 +108,7 @@ def cmd_dims(args) -> int:
             )
             return 1
 
-    record = _dims_record(report, verdict_label)
+    record = report_record(arch, report, verdict_label)
     if args.json:
         _write_out(json.dumps(record, indent=2) + "\n", args.out)
     else:
@@ -224,7 +194,7 @@ def cmd_scan(args) -> int:
         tries=args.tries,
         seed=seed,
         field=args.field,
-        prime=None if args.prime == "auto" else int(args.prime),
+        prime=_prime_arg(args.prime),
         max_free=args.max_free,
         max_ambient=args.max_ambient,
     )
@@ -249,7 +219,7 @@ def cmd_scan(args) -> int:
 
 def cmd_veronese_secant(args) -> int:
     seed = _resolve_seed(args)
-    domain = _resolve_domain(args, seed)
+    domain = resolve_domain(args.field, _prime_arg(args.prime), seed)
     dim = empirical_secant_dim(
         args.nvars, args.deg, args.secant, tries=args.tries, seed=seed, domain=domain
     )
@@ -408,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ArchitectureError as exc:
+    except (ArchitectureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SamplingExhausted as exc:

@@ -163,26 +163,6 @@ def symbolic_weights(
     return WeightAssignment(arch, tuple(mats), mask)
 
 
-def concrete_weights(
-    arch: Architecture, ring: Ring, mask: GaugeMask, values: dict[str, object]
-) -> WeightAssignment:
-    """Weight matrices of ring constants: gauge-fixed 1s and point values."""
-    fixed = [set(layer) for layer in mask]
-    mats = []
-    for i in range(1, arch.depth + 1):
-        rows = []
-        for r in range(arch.widths[i]):
-            row = []
-            for c in range(arch.widths[i - 1]):
-                if (r, c) in fixed[i - 1]:
-                    row.append(ring.one())
-                else:
-                    row.append(ring.const(values[weight_name(i, r, c)]))
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
-    return WeightAssignment(arch, tuple(mats), mask)
-
-
 @dataclass(frozen=True)
 class LayerPolynomials:
     """All intermediate forms F_{k,j}: layers[k-1][j] for k = 1..L.
@@ -301,10 +281,6 @@ class GaugedMap:
     @property
     def target_dim(self) -> int:
         return self.arch.target_affine_dim
-
-    def layer_of_column(self, col: int) -> int:
-        """1-based layer owning a Jacobian column."""
-        return int(self.free_names[col].split("_")[0][1:])
 
     def dehomogenized_symbolic(self):
         """Per output, the list of (numerator, pivot) coefficient pairs.

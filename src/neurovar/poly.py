@@ -85,10 +85,6 @@ class Ring:
         exp[self._index[name]] = 1
         return SparsePoly(self, {tuple(exp): self.domain.one})
 
-    def poly(self, terms: Mapping[Monomial, object]) -> "SparsePoly":
-        """Build a polynomial from a term map, dropping zero coefficients."""
-        return SparsePoly(self, {m: c for m, c in terms.items() if c})
-
     def __eq__(self, other):
         return (
             isinstance(other, Ring)
@@ -129,18 +125,7 @@ class SparsePoly:
         return SparsePoly(self.ring, out)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        dom = self.ring.domain
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                s = dom.sub(out[m], c)
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-            else:
-                out[m] = dom.neg(c)
-        return SparsePoly(self.ring, out)
+        return self + -other
 
     def __neg__(self) -> "SparsePoly":
         neg = self.ring.domain.neg
@@ -200,9 +185,6 @@ class SparsePoly:
         """Max combined degree over the given variable positions."""
         idx = tuple(var_indices)
         return max((sum(m[i] for i in idx) for m in self.terms), default=0)
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, self.ring.domain.zero)
 
     def terms_sorted(self) -> list[tuple[Monomial, object]]:
         """Terms in canonical (lexicographically descending) order."""
@@ -277,31 +259,6 @@ class SparsePoly:
                 out[key] = coeff
         return SparsePoly(self.ring, out)
 
-    def map_to(self, ring: Ring, rename: Mapping[str, str] | None = None) -> "SparsePoly":
-        """Re-express in another ring over the same domain.
-
-        Every variable occurring here must map to a variable of the target
-        ring (identity names by default).
-        """
-        if ring.domain != self.ring.domain:
-            raise ValueError("map_to requires identical coefficient domains")
-        src = self.ring.names
-        pos = []
-        for n in src:
-            target = rename.get(n, n) if rename else n
-            pos.append(ring._index.get(target, -1))
-        out: dict = {}
-        for m, c in self.terms.items():
-            exp = [0] * ring.nvars
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                if pos[i] < 0:
-                    raise ValueError(f"variable {src[i]} has no image in target ring")
-                exp[pos[i]] = e
-            out[tuple(exp)] = c
-        return SparsePoly(ring, out)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -343,12 +300,3 @@ def poly_pow(p: SparsePoly, e: int) -> SparsePoly:
         e >>= 1
     return result
 
-
-def poly_partial(p: SparsePoly, var: str | int) -> SparsePoly:
-    """Formal partial derivative (module-level alias of SparsePoly.partial)."""
-    return p.partial(var)
-
-
-def poly_eval(p: SparsePoly, point):
-    """Exact evaluation at a point assigning every ring variable."""
-    return p.eval(point)

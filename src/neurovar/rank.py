@@ -11,9 +11,10 @@ derivative of every dehomogenized coordinate.  Symbolic differentiation of
 the full coefficient map would blow up with depth; the per-point pass stays
 polynomial-sized and is validated against the symbolic route on small cases.
 
-Rank is exact: fraction-free (Bareiss) elimination over the integers after
-clearing denominators for rational matrices, ordinary elimination for prime
-fields.
+One forward row-echelon routine serves rank and nullspace alike: ordinary
+elimination modulo p for prime fields, fraction-free (Bareiss) elimination
+over the integers after clearing denominators for rational matrices.
+`exact_rank` counts its pivots and `nullspace` back-substitutes on its rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .domains import PrimeField, random_prime
+from .domains import RATIONALS, PrimeField, random_prime
 from .errors import PivotVanishes, SamplingExhausted
 from .network import (
     Architecture,
@@ -52,46 +53,32 @@ def auto_prime_field(seed: int) -> PrimeField:
     return PrimeField(random_prime(derive_seed(seed, "prime")))
 
 
-# -- exact rank backends -------------------------------------------------------
+def resolve_domain(field: str, prime: int | None, seed: int):
+    """The sampling domain of a `field` ("prime" or "rational") choice: Q, the
+    given prime field, or the seed's `auto_prime_field` when `prime` is None."""
+    if field == "rational":
+        return RATIONALS
+    return auto_prime_field(seed) if prime is None else PrimeField(prime)
 
 
-def _rank_prime(rows: list[list[int]], p: int) -> int:
-    m = [[v % p for v in row] for row in rows]
+# -- exact elimination ---------------------------------------------------------
+
+
+def _echelon(m: list[list[int]], p: int) -> list[int]:
+    """Forward row echelon form of the integer rows `m`, in place; returns the
+    pivot columns, pivot row r being m[r].
+
+    p > 0: elimination modulo p on entries already reduced mod p.  p == 0:
+    fraction-free (Bareiss) elimination over the integers, where every
+    division is exact and the last pivot is the determinant of the pivot
+    block.  Only rows below a pivot are eliminated.
+    """
     nrows = len(m)
     ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        inv = pow(prow[col], p - 2, p)
-        for i in range(rank + 1, nrows):
-            ri = m[i]
-            f = ri[col]
-            if f:
-                f = f * inv % p
-                for c in range(col, ncols):
-                    ri[c] = (ri[c] - f * prow[c]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free elimination on an integer matrix; all divisions are exact."""
-    m = [list(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0])
-    rank = 0
+    pivots: list[int] = []
     prev = 1
     for col in range(ncols):
+        rank = len(pivots)
         piv = None
         for i in range(rank, nrows):
             if m[i][col]:
@@ -102,32 +89,77 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         pv = prow[col]
-        for i in range(rank + 1, nrows):
-            ri = m[i]
-            f = ri[col]
-            for c in range(col + 1, ncols):
-                ri[c] = (pv * ri[c] - f * prow[c]) // prev
-            ri[col] = 0
-        prev = pv
-        rank += 1
-        if rank == nrows:
+        if p:
+            inv = pow(pv, p - 2, p)
+            for i in range(rank + 1, nrows):
+                ri = m[i]
+                f = ri[col]
+                if f:
+                    f = f * inv % p
+                    for c in range(col, ncols):
+                        ri[c] = (ri[c] - f * prow[c]) % p
+        else:
+            for i in range(rank + 1, nrows):
+                ri = m[i]
+                f = ri[col]
+                for c in range(col + 1, ncols):
+                    ri[c] = (pv * ri[c] - f * prow[c]) // prev
+                ri[col] = 0
+            prev = pv
+        pivots.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+    return pivots
+
+
+def _integer_rows(matrix, domain) -> tuple[list[list[int]], int]:
+    """Integer copies of the rows and the modulus `_echelon` takes: entries
+    reduced mod p over F_p, denominators cleared row by row over Q (p = 0)."""
+    if isinstance(domain, PrimeField):
+        p = domain.p
+        return [[v % p for v in row] for row in matrix], p
+    cleared = []
+    for row in matrix:
+        denoms = [v.denominator for v in row if isinstance(v, Fraction)]
+        scale = lcm(*denoms) if denoms else 1
+        cleared.append([int(v * scale) for v in row])
+    return cleared, 0
 
 
 def exact_rank(matrix, domain) -> int:
     """Exact rank of a matrix of domain elements (rows of equal length)."""
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    if isinstance(domain, PrimeField):
-        return _rank_prime(rows, domain.p)
-    cleared = []
-    for row in rows:
-        denoms = [v.denominator for v in row if isinstance(v, Fraction)]
-        scale = lcm(*denoms) if denoms else 1
-        cleared.append([int(v * scale) for v in row])
-    return _rank_bareiss(cleared)
+    m, p = _integer_rows(matrix, domain)
+    return len(_echelon(m, p)) if m else 0
+
+
+def nullspace(rows, domain) -> list[list]:
+    """Reduced basis of {v : A v = 0} over the domain of the matrix A.
+
+    One vector per non-pivot column f of the echelon form, with 1 at f and 0
+    at every other non-pivot column, in column order.  Back-substitution on
+    the echelon rows: over F_p by pivot inverses; over Q on integers scaled
+    by the last pivot, which by Cramer's rule clears every denominator, so
+    each division is exact.
+    """
+    m, p = _integer_rows(rows, domain)
+    if not m:
+        return []
+    ncols = len(m[0])
+    pivots = _echelon(m, p)
+    scale = m[len(pivots) - 1][pivots[-1]] if pivots and not p else 1
+    invs = [pow(m[r][c], p - 2, p) for r, c in enumerate(pivots)] if p else None
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = scale
+        filled = [f]
+        for r, pc in reversed(list(enumerate(pivots))):
+            row = m[r]
+            s = sum(row[c] * v[c] for c in filled)
+            v[pc] = -s * invs[r] % p if p else -s // row[pc]
+            filled.append(pc)
+        basis.append(v if p else [Fraction(x, scale) for x in v])
+    return basis
 
 
 # -- forward value and tangent passes -----------------------------------------

@@ -19,10 +19,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .domains import PrimeField, RATIONALS, random_prime
 from .errors import NeurovarError
 from .network import Architecture, validate
-from .rank import DEFAULT_SEED, DEFAULT_TRIES, DimReport, derive_seed, neurovariety_stats
+from .rank import DEFAULT_SEED, DEFAULT_TRIES, DimReport, neurovariety_stats, resolve_domain
 from .theory import (
     LAST_VERONESE_DEFECTIVE,
     PREDICTED_IDENTIFIABLE,
@@ -86,12 +85,6 @@ class ScanSpec:
         if self.field not in ("prime", "rational"):
             raise ValueError("field must be 'prime' or 'rational'")
 
-    def domain(self):
-        if self.field == "rational":
-            return RATIONALS
-        p = self.prime if self.prime is not None else random_prime(derive_seed(self.seed, "prime"))
-        return PrimeField(p)
-
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -110,24 +103,32 @@ class ScanRow:
     error: str | None = None
 
     def to_record(self) -> dict:
-        rep = self.report
-        record = {
-            "arch": list(self.arch.widths),
-            "degrees": list(self.arch.degrees),
-            "expdim": rep.expdim_general if rep else None,
-            "expdim_refined": rep.expdim_refined if rep else None,
-            "dim_actual": rep.dim_actual if rep else None,
-            "fiber_dim": rep.fiber_dim if rep else None,
-            "defective": rep.defective if rep else None,
-            "verdict": self.verdict.label() if self.verdict else self.error,
-            "trials": rep.trials if rep else None,
-            "seed": rep.seed if rep else None,
-            "domain": rep.domain_kind if rep else None,
-            "prime": str(rep.prime) if rep and rep.prime is not None else None,
-            "pivot": (rep.pivots[0] if len(rep.pivots) == 1 else list(rep.pivots)) if rep else None,
-            "wall_ms": self.wall_ms,
-        }
-        return record
+        verdict = self.verdict.label() if self.verdict else self.error
+        return {**report_record(self.arch, self.report, verdict), "wall_ms": self.wall_ms}
+
+
+def report_record(arch: Architecture, report: DimReport | None, verdict: str | None) -> dict:
+    """The REPORT_KEYS columns of one architecture except `wall_ms`, in order.
+
+    This is the whole `neurovar dims --json` record and, with `wall_ms`
+    added, a scan row; the report's columns are None when `report` is None.
+    """
+    values = {"arch": list(arch.widths), "degrees": list(arch.degrees), "verdict": verdict}
+    if report is not None:
+        pivots = report.pivots
+        values.update(
+            expdim=report.expdim_general,
+            expdim_refined=report.expdim_refined,
+            dim_actual=report.dim_actual,
+            fiber_dim=report.fiber_dim,
+            defective=report.defective,
+            trials=report.trials,
+            seed=report.seed,
+            domain=report.domain_kind,
+            prime=str(report.prime) if report.prime is not None else None,
+            pivot=pivots[0] if len(pivots) == 1 else list(pivots),
+        )
+    return {key: values.get(key) for key in REPORT_KEYS if key != "wall_ms"}
 
 
 def grid_architectures(spec: ScanSpec) -> list[Architecture]:
@@ -164,8 +165,7 @@ def agreement_flag(verdict: Verdict, report: DimReport, arch: Architecture) -> b
 
 
 def _compute_row(args) -> ScanRow:
-    arch, tries, seed, field, prime = args
-    domain = PrimeField(prime) if field == "prime" else RATIONALS
+    arch, tries, seed, domain = args
     start = time.perf_counter()
     try:
         verdict = theorem_verdict(arch)
@@ -183,12 +183,15 @@ def scan(spec: ScanSpec, workers: int | None = None) -> list[ScanRow]:
     Per-row errors are recorded in the row rather than aborting the scan.
     `workers` defaults to the NV_THREADS environment variable (else serial).
     """
-    domain = spec.domain()
-    prime = domain.p if isinstance(domain, PrimeField) else None
-    archs = grid_architectures(spec)
-    jobs = [(arch, spec.tries, spec.seed, spec.field, prime) for arch in archs]
     if workers is None:
-        workers = int(os.environ.get("NV_THREADS", "1"))
+        env = os.environ.get("NV_THREADS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"NV_THREADS must be an integer, got {env!r}") from None
+    archs = grid_architectures(spec)
+    domain = resolve_domain(spec.field, spec.prime, spec.seed)
+    jobs = [(arch, spec.tries, spec.seed, domain) for arch in archs]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compute_row, jobs, chunksize=8))

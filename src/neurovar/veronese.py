@@ -4,8 +4,9 @@ A composite Veronese is the chain of power maps nu_{e_m} o ... o nu_{e_1},
 realized stage by stage as "all monomials of degree e_t in the previous
 stage's coordinates".  The linear forms vanishing on its image are computed
 by evaluating the chain at more random points than the ambient has
-coordinates and taking the kernel of the evaluation matrix; only the linear
-stratum of the ideal is needed, so no elimination theory is involved.
+coordinates and taking the kernel of the evaluation matrix with
+`rank.nullspace`, the same echelon routine that computes every rank; only the
+linear stratum of the ideal is needed, so no elimination theory is involved.
 
 Secant dimensions of single Veronese varieties reuse the network rank
 machinery: the width-(n, s, 1) depth-2 architecture with activation degree d
@@ -22,7 +23,15 @@ from .domains import RATIONALS, Rationals
 from .errors import AmbientTooLarge, ProportionalPair
 from .network import gauge_fix, validate
 from .poly import Monomial, Ring, SparsePoly, monomials_of_degree
-from .rank import DEFAULT_SEED, DEFAULT_TRIES, auto_prime_field, derive_seed, generic_rank
+from .rank import (
+    DEFAULT_SEED,
+    DEFAULT_TRIES,
+    auto_prime_field,
+    derive_seed,
+    exact_rank,
+    generic_rank,
+    nullspace,
+)
 
 AMBIENT_CAP = 100_000
 
@@ -83,46 +92,6 @@ def composite_veronese(nvars: int, degrees, cap: int = AMBIENT_CAP) -> Composite
     return CompositeVeronese(nvars, degrees, tuple(stages), tuple(dims))
 
 
-def _nullspace(rows: list[list], domain) -> list[list]:
-    """Reduced basis of {v : A v = 0} over a field, deterministic echelon form."""
-    if not rows:
-        return []
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    nrows = len(m)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = domain.inv(m[rank][col])
-        m[rank] = [domain.mul(v, inv) for v in m[rank]]
-        prow = m[rank]
-        for i in range(nrows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [domain.sub(a, domain.mul(f, b)) for a, b in zip(m[i], prow)]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        v = [domain.zero] * ncols
-        v[fc] = domain.one
-        for r, pc in enumerate(pivots):
-            v[pc] = domain.neg(m[r][fc])
-        basis.append(v)
-    return basis
-
-
 def image_linear_relations(
     cv: CompositeVeronese,
     oversample: int | None = None,
@@ -150,7 +119,7 @@ def image_linear_relations(
             return [domain.sample(rng) for _ in range(cv.nvars)]
 
     rows = [cv.evaluate(draw(), domain) for _ in range(oversample)]
-    kernel = _nullspace(rows, domain)
+    kernel = nullspace(rows, domain)
 
     ring = Ring([f"z{i}" for i in range(ambient)], domain)
     basis = []
@@ -236,8 +205,6 @@ def power_independence(inst: PowerInstance) -> tuple[bool, int]:
             if _proportional(forms[i].terms, forms[j].terms, monos, domain):
                 raise ProportionalPair(i, j)
     target = monomials_of_degree(ring.nvars, s * inst.power)
-    from .rank import exact_rank
-
     rows = []
     for p in forms:
         q = p ** inst.power

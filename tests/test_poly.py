@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neurovar.domains import PrimeField, RATIONALS
-from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_eval, poly_partial, poly_pow
+from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_pow
 
 PRIME = PrimeField((1 << 61) - 1)
 
@@ -81,30 +81,30 @@ def test_poly_pow_pencil_sum_coordinates():
 def test_poly_partial_power_rule():
     ring = Ring(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
-    assert poly_partial(x * x * y, "x") == (x * y).scale(Fraction(2))
+    assert (x * x * y).partial("x") == (x * y).scale(Fraction(2))
 
 
 def test_poly_partial_constant():
     ring = Ring(["x"])
-    assert poly_partial(ring.const_int(7), "x") == ring.zero()
+    assert ring.const_int(7).partial("x") == ring.zero()
 
 
 def test_poly_partial_three_variables():
     ring = Ring(["a", "b", "c"])
     a, b, c = (ring.var(n) for n in "abc")
     p = poly_pow(a, 4) * poly_pow(b, 2) * c
-    assert poly_partial(p, "b") == (poly_pow(a, 4) * b * c).scale(Fraction(2))
+    assert p.partial("b") == (poly_pow(a, 4) * b * c).scale(Fraction(2))
 
 
 def test_poly_eval_simple():
     ring = Ring(["x", "y"])
     p = ring.var("x") * ring.var("x") + ring.var("y")
-    assert poly_eval(p, {"x": Fraction(2), "y": Fraction(3)}) == 7
+    assert p.eval({"x": Fraction(2), "y": Fraction(3)}) == 7
 
 
 def test_poly_eval_zero_polynomial():
     ring = Ring(["x", "y"])
-    assert poly_eval(ring.zero(), [Fraction(11), Fraction(-4)]) == 0
+    assert ring.zero().eval([Fraction(11), Fraction(-4)]) == 0
 
 
 def test_poly_eval_conic_relation_on_squares():
@@ -115,7 +115,7 @@ def test_poly_eval_conic_relation_on_squares():
     rng = random.Random(42)
     for _ in range(20):
         t, s = Fraction(rng.randint(-50, 50)), Fraction(rng.randint(-50, 50))
-        assert poly_eval(rel, [t * t, t * s, s * s]) == 0
+        assert rel.eval([t * t, t * s, s * s]) == 0
 
 
 # -- property tests --------------------------------------------------------------
@@ -172,8 +172,8 @@ def test_eval_is_ring_homomorphism(ta, tb, point, use_prime):
     domain = PRIME if use_prime else RATIONALS
     a, b = _poly_from_spec(domain, ta), _poly_from_spec(domain, tb)
     vals = [domain.from_int(v) for v in point]
-    assert poly_eval(a * b, vals) == domain.mul(poly_eval(a, vals), poly_eval(b, vals))
-    assert poly_eval(a + b, vals) == domain.add(poly_eval(a, vals), poly_eval(b, vals))
+    assert (a * b).eval(vals) == domain.mul(a.eval(vals), b.eval(vals))
+    assert (a + b).eval(vals) == domain.add(a.eval(vals), b.eval(vals))
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,9 +186,9 @@ def test_reduction_compatibility(terms, point):
     over_p = _poly_from_spec(PRIME, terms)
     vals_q = [Fraction(v) for v in point]
     vals_p = [v % p for v in point]
-    value = poly_eval(over_q, vals_q)
+    value = over_q.eval(vals_q)
     assert value.denominator == 1
-    assert int(value) % p == poly_eval(over_p, vals_p)
+    assert int(value) % p == over_p.eval(vals_p)
 
 
 def test_partial_is_linear():

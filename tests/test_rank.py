@@ -19,29 +19,54 @@ from neurovar.rank import (
     generic_rank,
     jacobian_at,
     neurovariety_stats,
+    nullspace,
 )
 
 PRIME = auto_prime_field(97)
 
 
-# -- independent rank oracle (plain fraction Gauss, separate from Bareiss) ------
+# -- independent rank oracle (plain Gauss-Jordan, separate from the echelon kernel)
 
 
-def reference_rank(rows):
-    m = [[Fraction(v) for v in row] for row in rows]
+def reference_rank(rows, p=0):
+    """Rank and reduced row echelon rows: over Q in fractions (p = 0), else mod p."""
+    if p:
+        m = [[v % p for v in row] for row in rows]
+        div = lambda a, b: a * pow(b, p - 2, p) % p
+    else:
+        m = [[Fraction(v) for v in row] for row in rows]
+        div = lambda a, b: a / b
     rank = 0
     for col in range(len(m[0]) if m else 0):
         piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        m[rank] = [v / m[rank][col] for v in m[rank]]
+        m[rank] = [div(v, m[rank][col]) for v in m[rank]]
         for i in range(len(m)):
             if i != rank and m[i][col]:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+                if p:
+                    m[i] = [v % p for v in m[i]]
         rank += 1
-    return rank
+    return rank, m[:rank]
+
+
+def reference_kernel(reduced, ncols, p=0):
+    """The free-column basis read off reduced rows: 1 at the free column f,
+    0 at the other free columns, minus row r's entry f at row r's pivot."""
+    pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[f] % p if p else -row[f]
+        basis.append(v)
+    return basis
 
 
 def guiding_example_matrix():
@@ -82,28 +107,63 @@ def test_exact_rank_zero_matrix():
 
 def test_exact_rank_guiding_frame_matrix():
     rows = guiding_example_matrix()
-    expected = reference_rank(rows)
+    expected, _ = reference_rank(rows)
     assert expected == 8
     assert exact_rank([[Fraction(v) for v in r] for r in rows], RATIONALS) == 8
     p = PRIME.p
     assert exact_rank([[v % p for v in r] for r in rows], PRIME) == 8
 
 
+def _rank_deficient_matrices(rng):
+    """Products of two thin factors, wide and tall among them, and a matrix
+    with a zero row and a zero column."""
+    mats = []
+    for nr, nc, k in ((5, 5, 2), (6, 6, 5), (3, 8, 2), (2, 9, 1), (8, 3, 2), (9, 2, 1)):
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(nr)]
+        right = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
+                 for _ in range(k)]
+        mats.append([[sum(a * r[j] for a, r in zip(row, right)) for j in range(nc)]
+                     for row in left])
+    zeroed = [[Fraction(rng.randint(-5, 5)) for _ in range(5)] for _ in range(4)]
+    zeroed[2] = [Fraction(0)] * 5
+    for row in zeroed:
+        row[1] = Fraction(0)
+    mats.append(zeroed)
+    return mats
+
+
 def test_exact_rank_matches_reference_on_random_matrices():
     rng = random.Random(17)
+    mats = []
     for _ in range(30):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [
+        mats.append([
             [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nc)]
             for _ in range(nr)
-        ]
-        expected = reference_rank(rows)
+        ])
+    mats += [[[Fraction(rng.randint(-6, 6)) for _ in range(nc)] for _ in range(nr)]
+             for nr, nc in ((2, 7), (7, 2), (1, 5), (5, 1))]
+    mats += _rank_deficient_matrices(rng)
+    p = PRIME.p
+    for rows in mats:
+        expected, reduced = reference_rank(rows)
         assert exact_rank(rows, RATIONALS) == expected
-        p = PRIME.p
         as_p = [
             [(v.numerator * pow(v.denominator, p - 2, p)) % p for v in row] for row in rows
         ]
         assert exact_rank(as_p, PRIME) == expected
+        ncols = len(rows[0])
+        kernel = nullspace(rows, RATIONALS)
+        assert kernel == reference_kernel(reduced, ncols)
+        assert len(kernel) == ncols - expected
+        for v in kernel:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+        rank_p, reduced_p = reference_rank(as_p, p)
+        kernel_p = nullspace(as_p, PRIME)
+        assert kernel_p == reference_kernel(reduced_p, ncols, p)
+        assert len(kernel_p) == ncols - rank_p
+        for v in kernel_p:
+            assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in as_p)
 
 
 # -- jacobian_at ----------------------------------------------------------------
@@ -209,7 +269,7 @@ def test_neurovariety_stats_two_output_example():
     rng = random.Random(404)
     point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free_names)
     oracle = symbolic_jacobian(gmap, point)
-    assert reference_rank(oracle) == 6
+    assert reference_rank(oracle)[0] == 6
 
 
 # -- block ranks -------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from support import run_cli
 
+from neurovar.cli import main
 from neurovar.scan import (
     REPORT_KEYS,
     ScanSpec,
@@ -315,3 +316,26 @@ def test_cli_scan_respects_worker_env():
         return [{k: v for k, v in r.items() if k != "wall_ms"} for r in json.loads(text)]
 
     assert strip_wall(serial.stdout) == strip_wall(threaded.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "15"], {}),
+        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "abc"], {}),
+        (["dims", "-n", "2,x,1", "-d", "2"], {}),
+        (["dims", "-n", "2,2,1", "-d", "2", "--tries", "0"], {}),
+        (["scan", "--depths", "1"], {}),
+        (["veronese-secant", "-n", "3", "-d", "4", "-s", "0"], {}),
+        (["scan", "--depths", "2", "--max-width", "2", "--max-out", "1"], {"NV_THREADS": "abc"}),
+    ],
+    ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc"],
+)
+def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
+    monkeypatch.delenv("NV_SEED", raising=False)
+    monkeypatch.delenv("NV_THREADS", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
