@@ -24,8 +24,6 @@ from .network import (
     Architecture,
     CoefficientMap,
     GaugedMap,
-    LayerPolynomials,
-    WeightAssignment,
     coefficient_map,
     forward_layers,
     gauge_fix,

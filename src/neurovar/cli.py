@@ -84,8 +84,7 @@ def _write_out(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        raise SystemExit(4)
+        raise OSError(f"cannot write {out}: {exc}") from exc
 
 
 def cmd_dims(args) -> int:
@@ -132,9 +131,6 @@ def cmd_dims(args) -> int:
 
 def cmd_check(args) -> int:
     arch = validate(_int_list(args.widths), _int_list(args.degrees or ""))
-    if arch.depth < 2:
-        print("error: theorem conditions need at least one hidden layer", file=sys.stderr)
-        return 2
     verdict = theorem_verdict(arch)
     record = {
         "arch": list(arch.widths),

@@ -10,9 +10,10 @@ gives the coefficient map; fixing the last column of every W_i to 1 and
 dividing through by a pivot coefficient gives the affine gauged map whose
 Jacobian rank measures the dimension of the network's function space.
 
-Weight variables are named ``w{layer}_{row}_{col}`` (layer 1-based, row and
-column 0-based) and inputs ``x{i}``; reports and golden files rely on this
-naming being stable.
+Weights are addressed by their (layer, row, col) position (layer 1-based, row
+and column 0-based).  Names ``w{layer}_{row}_{col}`` exist only as variables of
+the symbolic ring behind the coefficient map, a test oracle, next to the inputs
+``x{i}``; no report carries them.
 """
 
 from __future__ import annotations
@@ -120,85 +121,40 @@ def weight_positions(arch: Architecture) -> list[tuple[int, int, int]]:
     return out
 
 
-def free_weight_names(arch: Architecture, mask: GaugeMask) -> tuple[str, ...]:
-    """Names of weights not fixed by the gauge mask, in position order."""
-    fixed = [set(layer) for layer in mask]
-    names = []
-    for (i, r, c) in weight_positions(arch):
-        if (r, c) not in fixed[i - 1]:
-            names.append(weight_name(i, r, c))
-    return tuple(names)
-
-
-@dataclass(frozen=True)
-class WeightAssignment:
-    """Per-layer matrices of ring elements, with the gauge mask that fixed them.
-
-    Entries are SparsePoly over a common ring: symbolic variables for free
-    weights, ring constants for gauged or concrete ones.
-    """
-
-    arch: Architecture
-    matrices: tuple[tuple[tuple[SparsePoly, ...], ...], ...]
-    mask: GaugeMask | None
-
-
 def symbolic_weights(
     arch: Architecture, ring: Ring, mask: GaugeMask | None = None
-) -> WeightAssignment:
-    """Weight matrices of symbolic entries, masked positions set to 1."""
-    fixed = [set(layer) for layer in mask] if mask is not None else None
-    mats = []
-    for i in range(1, arch.depth + 1):
-        rows = []
-        for r in range(arch.widths[i]):
-            row = []
-            for c in range(arch.widths[i - 1]):
-                if fixed is not None and (r, c) in fixed[i - 1]:
-                    row.append(ring.one())
-                else:
-                    row.append(ring.var(weight_name(i, r, c)))
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
-    return WeightAssignment(arch, tuple(mats), mask)
+) -> list[list[list[SparsePoly]]]:
+    """Weight matrices of symbolic entries, masked positions set to 1 (no mask:
+    every weight symbolic)."""
+    gmap = gauge_fix(arch, ((),) * arch.depth if mask is None else mask)
+    return gmap.weight_matrices([ring.var(weight_name(*pos)) for pos in gmap.free], ring.one())
 
 
-@dataclass(frozen=True)
-class LayerPolynomials:
-    """All intermediate forms F_{k,j}: layers[k-1][j] for k = 1..L.
+def forward_layers(arch: Architecture, matrices) -> list[list[SparsePoly]]:
+    """All intermediate forms F_{k,j}, as layers[k-1][j] for k = 1..L, given the
+    per-layer weight matrices as ring elements; the outputs are layers[-1].
 
     F_{1,j} are the input linear forms; thereafter
     F_{k,j} = sum_i W_k[j][i] * F_{k-1,i}^{d_{k-1}}, so the x-degree of layer
     k is the product of the first k-1 activation degrees.
     """
-
-    arch: Architecture
-    layers: tuple[tuple[SparsePoly, ...], ...]
-
-    @property
-    def outputs(self) -> tuple[SparsePoly, ...]:
-        return self.layers[-1]
-
-
-def forward_layers(arch: Architecture, weights: WeightAssignment) -> LayerPolynomials:
-    """Propagate the inputs through every layer symbolically."""
-    ring = weights.matrices[0][0][0].ring
+    ring = matrices[0][0][0].ring
     current = [ring.var(f"x{i}") for i in range(arch.n_in)]
     layers = []
     for k in range(1, arch.depth + 1):
         if k >= 2:
             d = arch.degrees[k - 2]
             current = [p ** d for p in current]
-        W = weights.matrices[k - 1]
+        W = matrices[k - 1]
         nxt = []
         for r in range(arch.widths[k]):
             acc = ring.zero()
             for c in range(arch.widths[k - 1]):
                 acc = acc + W[r][c] * current[c]
             nxt.append(acc)
-        layers.append(tuple(nxt))
+        layers.append(nxt)
         current = nxt
-    return LayerPolynomials(arch, tuple(layers))
+    return layers
 
 
 @dataclass(frozen=True)
@@ -251,10 +207,10 @@ def coefficient_map(arch: Architecture) -> CoefficientMap:
     ring = network_ring(arch)
     wnames = ring.names[arch.n_in :]
     wring = Ring(wnames, ring.domain)
-    fl = forward_layers(arch, symbolic_weights(arch, ring))
+    outputs = forward_layers(arch, symbolic_weights(arch, ring))[-1]
     monos = tuple(monomials_of_degree(arch.n_in, arch.total_degree))
     vectors = tuple(
-        tuple(split_coefficients(arch, out, wring)) for out in fl.outputs
+        tuple(split_coefficients(arch, out, wring)) for out in outputs
     )
     return CoefficientMap(arch, monos, vectors, wring)
 
@@ -263,24 +219,35 @@ def coefficient_map(arch: Architecture) -> CoefficientMap:
 class GaugedMap:
     """The affine parameterization: free weights -> non-pivot coefficient ratios.
 
-    Per output, every coefficient is divided by the pivot coefficient (the
-    lexicographically first monomial x0^D by default) after substituting the
-    gauge; the pivot coordinate itself is dropped.  Domain dimension is the
-    free-weight count, target dimension n_L*(binom(n_0-1+D, n_0-1)-1).
+    `free` lists the (layer, row, col) positions of the free weights in
+    position order (layer-major, then row-major); it is the order of a sample
+    point's values and of the Jacobian columns.  Every other position is
+    gauged to 1.  Per output, every coefficient is divided by the pivot, the
+    coefficient of x0^D (index 0 in lexicographic order), and the pivot
+    coordinate itself is dropped.  Domain dimension is the free-weight count,
+    target dimension n_L*(binom(n_0-1+D, n_0-1)-1).
     """
 
     arch: Architecture
     mask: GaugeMask
-    free_names: tuple[str, ...]
-    pivots: tuple[int, ...]
+    free: tuple[tuple[int, int, int], ...]
 
     @property
     def domain_dim(self) -> int:
-        return len(self.free_names)
+        return len(self.free)
 
     @property
     def target_dim(self) -> int:
         return self.arch.target_affine_dim
+
+    def weight_matrices(self, values, one) -> list[list[list]]:
+        """Per-layer matrices W_1..W_L with values[j] at free[j] and `one` at
+        every gauged position."""
+        w = self.arch.widths
+        mats = [[[one] * w[i - 1] for _ in range(w[i])] for i in range(1, len(w))]
+        for (i, r, c), v in zip(self.free, values, strict=True):
+            mats[i - 1][r][c] = v
+        return mats
 
     def dehomogenized_symbolic(self):
         """Per output, the list of (numerator, pivot) coefficient pairs.
@@ -295,26 +262,21 @@ class GaugedMap:
             for i, layer in enumerate(self.mask)
             for (r, c) in layer
         }
-        gauged = [
-            [s.substitute(fixed) for s in vec] for vec in cmap.vectors
-        ]
         out = []
-        for ell, vec in enumerate(gauged):
-            piv = vec[self.pivots[ell]]
-            out.append(
-                [(vec[j], piv) for j in range(len(vec)) if j != self.pivots[ell]]
-            )
+        for vec in cmap.vectors:
+            gauged = [s.substitute(fixed) for s in vec]
+            out.append([(num, gauged[0]) for num in gauged[1:]])
         return out
 
 
 def gauge_fix(arch: Architecture, mask: GaugeMask | None = None) -> GaugedMap:
-    """Fix the gauge (standard: last columns to 1) and choose pivots.
+    """Fix the gauge (standard: last columns to 1) and list the free positions.
 
-    The pivot is the coefficient of x0^D (index 0 in lexicographic order) for
-    every output; sampling resamples any point where it vanishes.
+    The pivot of every output is index 0, the coefficient of x0^D; sampling
+    resamples any point where it vanishes.
     """
     if mask is None:
         mask = last_column_gauge(arch)
-    free = free_weight_names(arch, mask)
-    pivots = tuple(0 for _ in range(arch.n_out))
-    return GaugedMap(arch, mask, free, pivots)
+    fixed = [set(layer) for layer in mask]
+    free = tuple(pos for pos in weight_positions(arch) if pos[1:] not in fixed[pos[0] - 1])
+    return GaugedMap(arch, mask, free)

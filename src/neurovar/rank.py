@@ -26,17 +26,10 @@ from fractions import Fraction
 from math import lcm
 
 from .domains import RATIONALS, PrimeField, random_prime
-from .errors import PivotVanishes, SamplingExhausted
-from .network import (
-    Architecture,
-    GaugedMap,
-    gauge_fix,
-)
+from .errors import NotSingleOutput, PivotVanishes, SamplingExhausted
+from .network import Architecture, GaugedMap, gauge_fix
 from .poly import Ring, SparsePoly, monomials_of_degree
-from .theory import (
-    expected_dim_general,
-    expected_dim_single_output,
-)
+from .theory import expected_dim, expected_dim_general, expected_dim_single_output
 
 DEFAULT_TRIES = 10
 DEFAULT_SEED = 1729
@@ -165,25 +158,6 @@ def nullspace(rows, domain) -> list[list]:
 # -- forward value and tangent passes -----------------------------------------
 
 
-def _weight_values(arch: Architecture, gmap: GaugedMap, point, domain):
-    """Per-layer matrices of raw domain scalars (gauged entries are 1)."""
-    values = dict(zip(gmap.free_names, point))
-    fixed = [set(layer) for layer in gmap.mask]
-    mats = []
-    for i in range(1, arch.depth + 1):
-        rows = []
-        for r in range(arch.widths[i]):
-            row = []
-            for c in range(arch.widths[i - 1]):
-                if (r, c) in fixed[i - 1]:
-                    row.append(domain.one)
-                else:
-                    row.append(values[f"w{i}_{r}_{c}"])
-            rows.append(row)
-        mats.append(rows)
-    return mats
-
-
 def _forward_cached(arch: Architecture, wvals, ring: Ring):
     """Layer forms plus the power caches needed by the tangent passes.
 
@@ -245,92 +219,61 @@ def _tangent_outputs(arch: Architecture, wvals, powers, activated, layer, row, c
 @dataclass(frozen=True)
 class JacobianSample:
     """One exact Jacobian evaluation: rows are the non-pivot coefficient
-    ratios (output-major), columns the free weights in declaration order."""
+    ratios (output-major), columns the free weights in `GaugedMap.free` order."""
 
-    point: tuple
-    domain: object
-    matrix: tuple
+    matrix: list[list]
     rank: int
-    pivots: tuple[int, ...]
-    col_layers: tuple[int, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        if not self.matrix:
-            return (0, len(self.col_layers))
-        return (len(self.matrix), len(self.matrix[0]))
+    shape: tuple[int, int]
 
 
 def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
-    """Exact Jacobian of the gauged map at a point assigning all free weights.
+    """Exact Jacobian of the gauged map at a point assigning the free weights
+    in `gmap.free` order; its columns follow that order.
 
-    Raises PivotVanishes when any output's pivot coefficient is zero at the
-    point; callers resample.
+    Raises PivotVanishes when any output's pivot coefficient (index 0, the
+    coefficient of x0^D) is zero at the point; callers resample.
     """
     arch = gmap.arch
     ring = Ring([f"x{i}" for i in range(arch.n_in)], domain)
-    point = tuple(point)
-    wvals = _weight_values(arch, gmap, point, domain)
+    wvals = gmap.weight_matrices(point, domain.one)
     outputs, powers, activated = _forward_cached(arch, wvals, ring)
 
     monos = monomials_of_degree(arch.n_in, arch.total_degree)
     zero = domain.zero
     coeffs = []
     piv_inv2 = []
-    for ell, out in enumerate(outputs):
+    for out in outputs:
         vec = [out.terms.get(m, zero) for m in monos]
-        cp = vec[gmap.pivots[ell]]
-        if not cp:
-            raise PivotVanishes(point)
+        if not vec[0]:
+            raise PivotVanishes(tuple(point))
         coeffs.append(vec)
-        inv = domain.inv(cp)
+        inv = domain.inv(vec[0])
         piv_inv2.append(domain.mul(inv, inv))
 
     nrows = arch.n_out * (len(monos) - 1)
-    ncols = len(gmap.free_names)
+    ncols = gmap.domain_dim
     rows = [[zero] * ncols for _ in range(nrows)]
-    col_layers = []
     mul = domain.mul
     sub = domain.sub
 
-    for j, name in enumerate(gmap.free_names):
-        layer_s, row_s, col_s = name[1:].split("_")
-        layer = int(layer_s)
-        col_layers.append(layer)
-        douts = _tangent_outputs(
-            arch, wvals, powers, activated, layer, int(row_s), int(col_s), ring
-        )
-        base = 0
+    for j, (layer, row, col) in enumerate(gmap.free):
+        douts = _tangent_outputs(arch, wvals, powers, activated, layer, row, col, ring)
+        r = 0
         for ell in range(arch.n_out):
             dvec = [douts[ell].terms.get(m, zero) for m in monos]
-            piv = gmap.pivots[ell]
-            cp, dcp = coeffs[ell][piv], dvec[piv]
+            cvec = coeffs[ell]
+            cp, dcp = cvec[0], dvec[0]
             inv2 = piv_inv2[ell]
-            r = base
-            for mi in range(len(monos)):
-                if mi == piv:
-                    continue
-                num = sub(mul(cp, dvec[mi]), mul(coeffs[ell][mi], dcp))
+            for mi in range(1, len(monos)):
+                num = sub(mul(cp, dvec[mi]), mul(cvec[mi], dcp))
                 rows[r][j] = mul(num, inv2)
                 r += 1
-            base += len(monos) - 1
 
     rank = exact_rank(rows, domain) if nrows else 0
-    return JacobianSample(
-        point=point,
-        domain=domain,
-        matrix=tuple(tuple(r) for r in rows),
-        rank=rank,
-        pivots=gmap.pivots,
-        col_layers=tuple(col_layers),
-    )
+    return JacobianSample(rows, rank, (nrows, ncols))
 
 
 # -- sampling ------------------------------------------------------------------
-
-
-def sample_point(gmap: GaugedMap, domain, rng: random.Random) -> tuple:
-    return tuple(domain.sample(rng) for _ in gmap.free_names)
 
 
 def generic_rank(
@@ -338,31 +281,28 @@ def generic_rank(
     tries: int = DEFAULT_TRIES,
     seed: int = DEFAULT_SEED,
     domain=None,
-    rank_cap: int | None = None,
 ) -> tuple[int, tuple | None]:
     """Max Jacobian rank over `tries` independent samples, with its witness.
 
     Deterministic given the seed: trial t draws from a stream derived from
     (seed, t), so parallel and serial schedules agree and rank is monotone in
     `tries`.  Pivot failures resample without consuming a trial;
-    SamplingExhausted is raised after 100*tries consecutive failures.  The
-    optional `rank_cap` is a proven upper bound that allows stopping early
-    (min(free weights, target dimension) is always valid).
+    SamplingExhausted is raised after 100*tries consecutive failures.
+    Sampling stops early once the rank reaches min(free weights, target
+    dimension).
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
     if domain is None:
         domain = auto_prime_field(seed)
     cap = min(gmap.domain_dim, gmap.target_dim)
-    if rank_cap is not None:
-        cap = min(cap, rank_cap)
     best_rank = 0
     witness = None
     failures = 0
     for t in range(tries):
         rng = random.Random(derive_seed(seed, "trial", t))
         while True:
-            point = sample_point(gmap, domain, rng)
+            point = tuple(domain.sample(rng) for _ in gmap.free)
             try:
                 sample = jacobian_at(gmap, point, domain)
                 break
@@ -396,11 +336,10 @@ class DimReport:
     witness: tuple | None
     domain_kind: str
     prime: int | None
-    pivots: tuple[int, ...]
 
     @property
     def expdim_applicable(self) -> int:
-        return self.expdim_refined if self.expdim_refined is not None else self.expdim_general
+        return expected_dim(self.arch)
 
 
 def neurovariety_stats(
@@ -411,31 +350,30 @@ def neurovariety_stats(
 ) -> DimReport:
     """Expected dimensions, sampled actual dimension, fiber, defectiveness.
 
-    The defectiveness flag compares against the refined expected dimension
-    for single-output networks of depth >= 2 and the general one otherwise.
+    The defectiveness flag compares against `theory.expected_dim`: the refined
+    expected dimension where it is defined (single output, depth >= 2), the
+    general one otherwise.
     """
     if domain is None:
         domain = auto_prime_field(seed)
     gmap = gauge_fix(arch)
-    expdim_gen = expected_dim_general(arch)
-    refined = None
-    if arch.n_out == 1 and arch.depth >= 2:
+    try:
         refined = expected_dim_single_output(arch)
+    except NotSingleOutput:
+        refined = None
     dim_actual, witness = generic_rank(gmap, tries, seed, domain)
-    applicable = refined if refined is not None else expdim_gen
     return DimReport(
         arch=arch,
-        expdim_general=expdim_gen,
+        expdim_general=expected_dim_general(arch),
         expdim_refined=refined,
         dim_actual=dim_actual,
         fiber_dim=gmap.domain_dim - dim_actual,
-        defective=dim_actual < applicable,
+        defective=dim_actual < expected_dim(arch),
         trials=tries,
         seed=seed,
         witness=witness,
         domain_kind=domain.kind,
         prime=domain.p if isinstance(domain, PrimeField) else None,
-        pivots=gmap.pivots,
     )
 
 
@@ -454,8 +392,8 @@ class BlockRankReport:
     sample: JacobianSample
 
 
-def _columns_rank(sample: JacobianSample, layers: set[int], domain) -> int:
-    cols = [j for j, l in enumerate(sample.col_layers) if l in layers]
+def _columns_rank(gmap: GaugedMap, sample: JacobianSample, layers: set[int], domain) -> int:
+    cols = [j for j, (layer, _, _) in enumerate(gmap.free) if layer in layers]
     if not cols or not sample.matrix:
         return 0
     sub = [[row[j] for j in cols] for row in sample.matrix]
@@ -467,10 +405,10 @@ def block_ranks(gmap: GaugedMap, point, domain) -> BlockRankReport:
     sample = jacobian_at(gmap, point, domain)
     L = gmap.arch.depth
     per_layer = tuple(
-        (layer, _columns_rank(sample, {layer}, domain)) for layer in range(1, L + 1)
+        (layer, _columns_rank(gmap, sample, {layer}, domain)) for layer in range(1, L + 1)
     )
-    normal = _columns_rank(sample, set(range(1, L - 1)), domain)
-    last = _columns_rank(sample, {L - 1, L} if L >= 2 else {L}, domain)
+    normal = _columns_rank(gmap, sample, set(range(1, L - 1)), domain)
+    last = _columns_rank(gmap, sample, {L - 1, L} if L >= 2 else {L}, domain)
     return BlockRankReport(
         per_layer=per_layer,
         normal_rank=normal,

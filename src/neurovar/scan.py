@@ -112,10 +112,11 @@ def report_record(arch: Architecture, report: DimReport | None, verdict: str | N
 
     This is the whole `neurovar dims --json` record and, with `wall_ms`
     added, a scan row; the report's columns are None when `report` is None.
+    `pivot` is the index of every output's pivot coefficient, always 0
+    (x0^D): a number for one output, a list for several.
     """
     values = {"arch": list(arch.widths), "degrees": list(arch.degrees), "verdict": verdict}
     if report is not None:
-        pivots = report.pivots
         values.update(
             expdim=report.expdim_general,
             expdim_refined=report.expdim_refined,
@@ -126,7 +127,7 @@ def report_record(arch: Architecture, report: DimReport | None, verdict: str | N
             seed=report.seed,
             domain=report.domain_kind,
             prime=str(report.prime) if report.prime is not None else None,
-            pivot=pivots[0] if len(pivots) == 1 else list(pivots),
+            pivot=0 if arch.n_out == 1 else [0] * arch.n_out,
         )
     return {key: values.get(key) for key in REPORT_KEYS if key != "wall_ms"}
 
@@ -181,7 +182,8 @@ def scan(spec: ScanSpec, workers: int | None = None) -> list[ScanRow]:
     """Run the grid scan; deterministic given the spec, whatever the schedule.
 
     Per-row errors are recorded in the row rather than aborting the scan.
-    `workers` defaults to the NV_THREADS environment variable (else serial).
+    `workers` defaults to the NV_THREADS environment variable (else serial)
+    and is capped at the CPU count and the number of rows.
     """
     if workers is None:
         env = os.environ.get("NV_THREADS", "1")
@@ -192,7 +194,8 @@ def scan(spec: ScanSpec, workers: int | None = None) -> list[ScanRow]:
     archs = grid_architectures(spec)
     domain = resolve_domain(spec.field, spec.prime, spec.seed)
     jobs = [(arch, spec.tries, spec.seed, domain) for arch in archs]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, os.cpu_count() or 1, len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compute_row, jobs, chunksize=8))
     else:

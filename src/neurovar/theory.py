@@ -25,10 +25,7 @@ INCONCLUSIVE = "Inconclusive"
 
 def expected_dim_general(arch: Architecture) -> int:
     """min(free parameter count, ambient affine dimension), any output width."""
-    n = arch.widths
-    params = sum(n[i] * (n[i - 1] - 1) for i in range(1, len(n)))
-    ambient = arch.n_out * arch.ambient_per_output - arch.n_out
-    return min(params, ambient)
+    return min(arch.free_weight_count, arch.target_affine_dim)
 
 
 def expected_dim_single_output(arch: Architecture) -> int:
@@ -46,11 +43,9 @@ def expected_dim_single_output(arch: Architecture) -> int:
         raise NotSingleOutput(f"architecture {arch.label()} is not single-output of depth >= 2")
     n = arch.widths
     L = arch.depth
-    params = sum(n[i] * (n[i - 1] - 1) for i in range(1, L + 1))
     lower = sum(n[i] * (n[i - 1] - 1) for i in range(1, L - 1))
     span = math.comb(n[L - 2] - 1 + arch.degrees[L - 2], n[L - 2] - 1)
-    ambient = arch.ambient_per_output - 1
-    return min(params, lower + span - 1, ambient)
+    return min(arch.free_weight_count, lower + span - 1, arch.target_affine_dim)
 
 
 def expected_dim(arch: Architecture) -> int:
@@ -168,7 +163,7 @@ def theorem_verdict(arch: Architecture) -> Verdict:
     overcounts by one and neither direction of the prediction is sound.
     """
     if arch.depth < 2:
-        raise ValueError("theorem predicates need L >= 2")
+        raise ValueError("theorem conditions need at least one hidden layer")
     room = room_condition(arch)
     n = arch.widths
     L = arch.depth

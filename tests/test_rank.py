@@ -267,7 +267,7 @@ def test_neurovariety_stats_two_output_example():
     assert report.defective is False
     gmap = gauge_fix(arch)
     rng = random.Random(404)
-    point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free_names)
+    point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free)
     oracle = symbolic_jacobian(gmap, point)
     assert reference_rank(oracle)[0] == 6
 
@@ -290,7 +290,7 @@ def test_block_ranks_guiding_example():
     arch = validate((2, 3, 2, 1), (4, 3))
     gmap = gauge_fix(arch)
     rng = random.Random(8)
-    point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free_names)
+    point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free)
     report = block_ranks(gmap, point, RATIONALS)
     assert report.per_layer[0] == (1, 3)
     assert report.last_rank == 5
@@ -301,7 +301,7 @@ def test_block_ranks_depth_two_has_no_normal_block():
     arch = validate((3, 2, 1), (3,))
     gmap = gauge_fix(arch)
     rng = random.Random(9)
-    point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free_names)
+    point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free)
     report = block_ranks(gmap, point, RATIONALS)
     assert report.normal_rank == 0
     assert report.total_rank == report.last_rank
@@ -353,21 +353,21 @@ def symbolic_jacobian(gmap, point):
     map, formal partial derivatives, and the quotient rule.
     """
     ratios = gmap.dehomogenized_symbolic()
-    values = dict(zip(gmap.free_names, point))
+    values = dict(zip(gmap.free, point))
     full_point = {}
     from neurovar.network import weight_positions
 
     fixed = [set(layer) for layer in gmap.mask]
     for (i, r, c) in weight_positions(gmap.arch):
         name = weight_name(i, r, c)
-        full_point[name] = Fraction(1) if (r, c) in fixed[i - 1] else values[name]
+        full_point[name] = Fraction(1) if (r, c) in fixed[i - 1] else values[(i, r, c)]
     rows = []
     for per_output in ratios:
         for num, den in per_output:
             den_v = den.eval(full_point)
             num_v = num.eval(full_point)
             row = []
-            for theta in gmap.free_names:
+            for theta in (weight_name(*pos) for pos in gmap.free):
                 dnum = num.partial(theta).eval(full_point)
                 dden = den.partial(theta).eval(full_point)
                 row.append((den_v * dnum - num_v * dden) / (den_v * den_v))
@@ -394,7 +394,7 @@ def test_forward_tangents_match_symbolic_derivatives(widths, degrees, mask):
     assert gmap.domain_dim <= 8
     rng = random.Random(hash((widths, degrees)) & 0xFFFF)
     for _ in range(3):
-        point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free_names)
+        point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free)
         try:
             sample = jacobian_at(gmap, point, RATIONALS)
         except PivotVanishes:

@@ -1,6 +1,8 @@
 """Grid scans, report serialization, and the command-line surface."""
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -88,6 +90,40 @@ def test_scan_parallel_schedule_matches_serial():
     parallel = scan(spec, workers=4)
     strip = lambda r: (r.arch, r.report, r.verdict and r.verdict.label(), r.agreement)
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+
+@pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 4), (None, None)])
+def test_scan_clamps_worker_count(cpus, expected, monkeypatch):
+    # NV_THREADS=100000 must not reach the executor, which would start every
+    # worker at the first submit; the fake pool maps in-process, so no
+    # process is started here.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    spec = ScanSpec(depths=(2,), max_width=2, max_out_width=1, max_degree=2,
+                    tries=3, seed=11)
+    serial = scan(spec, workers=1)
+    assert len(serial) == 4
+    # The package exports the function `scan`, which shadows the module name.
+    monkeypatch.setattr(sys.modules["neurovar.scan"], "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("NV_THREADS", "100000")
+    rows = scan(spec)
+    assert sizes == ([] if expected is None else [expected])
+    strip = lambda r: (r.arch, r.report, r.verdict, r.agreement)
+    assert [strip(r) for r in rows] == [strip(r) for r in serial]
 
 
 # -- emit/parse -----------------------------------------------------------------------
@@ -303,6 +339,8 @@ def test_cli_dims_io_error_exit_code():
     proc = run_cli("dims", "-n", "2,2,1", "-d", "2", "--json",
                    "--out", "/nonexistent-dir/report.json")
     assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write "), proc.stderr
 
 
 def test_cli_scan_respects_worker_env():
@@ -328,8 +366,10 @@ def test_cli_scan_respects_worker_env():
         (["scan", "--depths", "1"], {}),
         (["veronese-secant", "-n", "3", "-d", "4", "-s", "0"], {}),
         (["scan", "--depths", "2", "--max-width", "2", "--max-out", "1"], {"NV_THREADS": "abc"}),
+        (["check", "-n", "2,1"], {}),
     ],
-    ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc"],
+    ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
+         "check-depth-1"],
 )
 def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)
