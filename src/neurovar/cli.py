@@ -70,7 +70,10 @@ def _add_output_args(sub):
 def _resolve_seed(args) -> int:
     env = os.environ.get("NV_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"NV_SEED must be an integer, got {env!r}") from None
     if args.seed is not None:
         return args.seed
     return DEFAULT_SEED

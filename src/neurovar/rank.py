@@ -29,7 +29,12 @@ from .domains import RATIONALS, PrimeField, random_prime
 from .errors import NotSingleOutput, PivotVanishes, SamplingExhausted
 from .network import Architecture, GaugedMap, gauge_fix
 from .poly import Ring, SparsePoly, monomials_of_degree
-from .theory import expected_dim, expected_dim_general, expected_dim_single_output
+from .theory import (
+    dim_upper_bound,
+    expected_dim,
+    expected_dim_general,
+    expected_dim_single_output,
+)
 
 DEFAULT_TRIES = 10
 DEFAULT_SEED = 1729
@@ -288,14 +293,18 @@ def generic_rank(
     (seed, t), so parallel and serial schedules agree and rank is monotone in
     `tries`.  Pivot failures resample without consuming a trial;
     SamplingExhausted is raised after 100*tries consecutive failures.
+
     Sampling stops early once the rank reaches min(free weights, target
-    dimension).
+    dimension, `theory.dim_upper_bound`).  The stop changes neither result:
+    every sampled rank is a lower bound on the dimension, so no later trial
+    can exceed a rank that meets a proven upper bound, and the witness is
+    the first point that reached the best rank either way.
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
     if domain is None:
         domain = auto_prime_field(seed)
-    cap = min(gmap.domain_dim, gmap.target_dim)
+    cap = min(gmap.domain_dim, gmap.target_dim, dim_upper_bound(gmap.arch))
     best_rank = 0
     witness = None
     failures = 0
@@ -389,7 +398,6 @@ class BlockRankReport:
     normal_rank: int
     last_rank: int
     total_rank: int
-    sample: JacobianSample
 
 
 def _columns_rank(gmap: GaugedMap, sample: JacobianSample, layers: set[int], domain) -> int:
@@ -414,5 +422,4 @@ def block_ranks(gmap: GaugedMap, point, domain) -> BlockRankReport:
         normal_rank=normal,
         last_rank=last,
         total_rank=sample.rank,
-        sample=sample,
     )

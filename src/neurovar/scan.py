@@ -15,7 +15,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -196,6 +195,8 @@ def scan(spec: ScanSpec, workers: int | None = None) -> list[ScanRow]:
     jobs = [(arch, spec.tries, spec.seed, domain) for arch in archs]
     workers = min(workers, os.cpu_count() or 1, len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compute_row, jobs, chunksize=8))
     else:

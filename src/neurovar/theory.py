@@ -55,6 +55,27 @@ def expected_dim(arch: Architecture) -> int:
     return expected_dim_general(arch)
 
 
+def dim_upper_bound(arch: Architecture) -> int:
+    """The smallest proven upper bound on the dimension of the gauged image.
+
+    `expected_dim(arch)`, lowered at every width-1 hidden layer k to the
+    expected dimension of the network cut there, (n_0..n_k) with degrees
+    (d_1..d_{k-1}).  Past a width-1 layer every output is a multiple
+    c_l * F_k^(D/D_k) of that layer's single form F_k, D_k being the degree
+    of F_k.  Dividing each output by its pivot coefficient removes c_l, so
+    the gauged image is the image of the cut network's gauged image under
+    [F_k] -> [F_k^(D/D_k)], which is finite-to-one; the two images have the
+    same dimension, and the cut's expected dimension bounds it.  A gauge
+    mask only restricts the parameters, so the bound holds under any mask.
+    """
+    bound = expected_dim(arch)
+    for k in range(1, arch.depth):
+        if arch.widths[k] == 1:
+            cut = validate(arch.widths[: k + 1], arch.degrees[: k - 1])
+            bound = min(bound, expected_dim(cut))
+    return bound
+
+
 @dataclass(frozen=True)
 class LevelRoom:
     """One layer's room inequality n_{i-1}+n_i-1 < binom(n_{i-1}-1+d_i, n_{i-1}-1)."""

@@ -11,6 +11,7 @@ from neurovar.network import gauge_fix, validate, weight_name
 from neurovar.poly import Ring, poly_pow
 from support import tctc_gauge_mask
 
+import neurovar.rank as rank_module
 from neurovar.rank import (
     auto_prime_field,
     block_ranks,
@@ -21,6 +22,8 @@ from neurovar.rank import (
     neurovariety_stats,
     nullspace,
 )
+from neurovar.scan import ScanSpec, grid_architectures
+from neurovar.theory import dim_upper_bound, expected_dim
 
 PRIME = auto_prime_field(97)
 
@@ -270,6 +273,65 @@ def test_neurovariety_stats_two_output_example():
     point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free)
     oracle = symbolic_jacobian(gmap, point)
     assert reference_rank(oracle)[0] == 6
+
+
+# -- proven upper bound and early stop ---------------------------------------------
+
+
+def _bound_grid():
+    """Depth 2-3, widths <= 3, degrees <= 3: 216 rows, 112 with a width-1
+    hidden layer, 25 of which the cut bound puts below expected_dim."""
+    spec = ScanSpec(depths=(2, 3), min_width=1, max_width=3, max_out_width=2,
+                    min_degree=2, max_degree=3, max_ambient=30)
+    return grid_architectures(spec)
+
+
+def test_dim_upper_bound_holds_and_cuts_are_exact():
+    archs = _bound_grid()
+    assert sum(dim_upper_bound(a) < expected_dim(a) for a in archs) == 25
+    for arch in archs:
+        report = neurovariety_stats(arch, tries=10, seed=1729, domain=PRIME)
+        assert report.dim_actual <= dim_upper_bound(arch), arch
+        # Past a width-1 hidden layer k the gauged image is a finite-to-one
+        # image of the network cut at k, so the two ranks agree.
+        for k in range(1, arch.depth):
+            if arch.widths[k] == 1:
+                cut = validate(arch.widths[: k + 1], arch.degrees[: k - 1])
+                cut_rank, _ = generic_rank(gauge_fix(cut), tries=10, seed=1729, domain=PRIME)
+                assert report.dim_actual == cut_rank, (arch, k)
+
+
+def _count_jacobians(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return jacobian_at(*args)
+
+    monkeypatch.setattr(rank_module, "jacobian_at", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "widths,degrees,rank,draws",
+    [
+        ((4, 1, 4, 2), (3, 4), 3, 1),  # bottleneck: meets the cut bound at once
+        ((2, 3, 1, 2), (2, 3), 2, 1),
+        ((2, 3, 2, 1), (3, 3), 7, 10),  # defective, below the bound 8: all tries
+    ],
+    ids=["bottleneck-layer-1", "bottleneck-layer-2", "defective"],
+)
+def test_generic_rank_stops_at_upper_bound(widths, degrees, rank, draws, monkeypatch):
+    gmap = gauge_fix(validate(widths, degrees))
+    calls = _count_jacobians(monkeypatch)
+    got = generic_rank(gmap, tries=10, seed=1729, domain=PRIME)
+    assert got[0] == rank
+    assert len(calls) == draws
+    # Without the stop every trial is drawn and the rank and witness are the same.
+    monkeypatch.setattr(rank_module, "dim_upper_bound", lambda arch: gmap.domain_dim)
+    del calls[:]
+    assert generic_rank(gmap, tries=10, seed=1729, domain=PRIME) == got
+    assert len(calls) == 10
 
 
 # -- block ranks -------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Grid scans, report serialization, and the command-line surface."""
 
+import concurrent.futures
 import json
 import os
-import sys
 
 import pytest
 
@@ -116,8 +116,9 @@ def test_scan_clamps_worker_count(cpus, expected, monkeypatch):
                     tries=3, seed=11)
     serial = scan(spec, workers=1)
     assert len(serial) == 4
-    # The package exports the function `scan`, which shadows the module name.
-    monkeypatch.setattr(sys.modules["neurovar.scan"], "ProcessPoolExecutor", SerialPool)
+    # scan() imports the executor only when it uses one, so the fake replaces
+    # it where that import finds it.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setenv("NV_THREADS", "100000")
     rows = scan(spec)
@@ -367,9 +368,10 @@ def test_cli_scan_respects_worker_env():
         (["veronese-secant", "-n", "3", "-d", "4", "-s", "0"], {}),
         (["scan", "--depths", "2", "--max-width", "2", "--max-out", "1"], {"NV_THREADS": "abc"}),
         (["check", "-n", "2,1"], {}),
+        (["dims", "-n", "2,2,1", "-d", "2"], {"NV_SEED": "abc"}),
     ],
     ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
-         "check-depth-1"],
+         "check-depth-1", "seed-abc"],
 )
 def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)
@@ -379,3 +381,5 @@ def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # A bad environment variable is named in its error.
+    assert all(key in err for key in env), err

@@ -14,6 +14,8 @@ from neurovar.theory import (
     PREDICTED_NON_DEFECTIVE,
     ROOM_FAILS,
     ah_secant_defective,
+    dim_upper_bound,
+    expected_dim,
     expected_dim_general,
     expected_dim_single_output,
     expected_secant_dim,
@@ -67,6 +69,26 @@ def test_expected_dim_single_output_rejects_multi_output():
         expected_dim_single_output(validate((2, 2, 2), (2,)))
     with pytest.raises(NotSingleOutput):
         expected_dim_single_output(validate((3, 1), ()))
+
+
+@pytest.mark.parametrize(
+    "widths,degrees,expected",
+    [
+        # Cut at the width-1 layer 1: the linear form's 3 and 2 coordinates.
+        ((4, 1, 4, 2), (3, 4), 3),
+        ((3, 1, 2, 1), (2, 2), 2),
+        # Cut at layer 2: the quadric (2,3,1),(2,) fills the 2 affine
+        # coordinates of binary quadrics.
+        ((2, 3, 1, 2), (2, 3), 2),
+        # No width-1 hidden layer: the expected dimension itself.
+        ((2, 3, 2, 1), (3, 3), 8),
+    ],
+)
+def test_dim_upper_bound_values(widths, degrees, expected):
+    arch = validate(widths, degrees)
+    assert dim_upper_bound(arch) == expected
+    if 1 not in arch.widths[1:-1]:
+        assert dim_upper_bound(arch) == expected_dim(arch)
 
 
 def test_refined_never_exceeds_general():
