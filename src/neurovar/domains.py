@@ -80,7 +80,7 @@ class Rationals:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1) / a
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)

@@ -15,6 +15,13 @@ One forward row-echelon routine serves rank and nullspace alike: ordinary
 elimination modulo p for prime fields, fraction-free (Bareiss) elimination
 over the integers after clearing denominators for rational matrices.
 `exact_rank` counts its pivots and `nullspace` back-substitutes on its rows.
+
+A rational rank starts with a full-rank certificate: the same routine modulo
+the fixed prime q of CERTIFICATE_FIELD on the cleared integer rows.  Rank
+modulo a prime never exceeds the rational rank, so when it reaches
+min(rows, cols) a maximal minor is nonzero mod q, hence a nonzero integer,
+and that is the answer; otherwise Bareiss decides.  Either way the rank is
+exact.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ from .theory import (
 
 DEFAULT_TRIES = 10
 DEFAULT_SEED = 1729
+# F_q for the Mersenne prime q = 2^61 - 1: the field of every full-rank
+# certificate over Q.
+CERTIFICATE_FIELD = PrimeField((1 << 61) - 1)
 
 
 def derive_seed(*parts) -> int:
@@ -125,9 +135,22 @@ def _integer_rows(matrix, domain) -> tuple[list[list[int]], int]:
 
 
 def exact_rank(matrix, domain) -> int:
-    """Exact rank of a matrix of domain elements (rows of equal length)."""
+    """Exact rank of a matrix of domain elements (rows of equal length).
+
+    Over Q the cleared integer rows are first eliminated modulo the prime q
+    of CERTIFICATE_FIELD: a rank of min(rows, cols) there proves full rational
+    rank.  A lower rank mod q proves nothing (q may divide every nonzero
+    maximal minor), so Bareiss then runs on the integer rows.
+    """
     m, p = _integer_rows(matrix, domain)
-    return len(_echelon(m, p)) if m else 0
+    if not m:
+        return 0
+    if not p:
+        q = CERTIFICATE_FIELD.p
+        full = min(len(m), len(m[0]))
+        if len(_echelon([[v % q for v in row] for row in m], q)) == full:
+            return full
+    return len(_echelon(m, p))
 
 
 def nullspace(rows, domain) -> list[list]:

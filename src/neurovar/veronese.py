@@ -12,6 +12,13 @@ Secant dimensions of single Veronese varieties reuse the network rank
 machinery: the width-(n, s, 1) depth-2 architecture with activation degree d
 parameterizes exactly the s-term power sums of linear forms, so its sampled
 Jacobian rank is the projective dimension of the secant variety.
+
+Independence of the powers p_1^r, ..., p_k^r is first certified by
+evaluation, without expanding any power: the k x k matrix of values
+p_i(x_j)^r at k points modulo a prime is a linear image of the powers'
+coefficient rows, so rank k there proves the powers independent.  Only when
+that matrix is singular (the powers are dependent, or the points were
+unlucky) are the powers expanded and their coefficient rows ranked exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ from .errors import AmbientTooLarge, ProportionalPair
 from .network import gauge_fix, validate
 from .poly import Monomial, Ring, SparsePoly, monomials_of_degree
 from .rank import (
+    CERTIFICATE_FIELD,
     DEFAULT_SEED,
     DEFAULT_TRIES,
+    _integer_rows,
     auto_prime_field,
     derive_seed,
     exact_rank,
@@ -186,24 +195,76 @@ def _proportional(u: dict, v: dict, monos, domain) -> bool:
     return True
 
 
+def _certificate_points(inst: PowerInstance, nvars: int, p: int) -> list[list[int]]:
+    """k points of F_p^nvars, drawn from a stream seeded by the instance."""
+    rng = random.Random(
+        derive_seed("power-points", inst.power, *(f.terms_sorted() for f in inst.forms))
+    )
+    return [[rng.randrange(p) for _ in range(nvars)] for _ in inst.forms]
+
+
+def _powers_certified(inst: PowerInstance, monos, domain) -> bool:
+    """Whether the values p_i(x_j)^r at k points form a nonsingular matrix
+    modulo a prime: the domain's own prime, or CERTIFICATE_FIELD over Q.
+
+    Column i is the matrix of degree-s*r monomial values at the points
+    times the coefficient vector of p_i^r, so rank k proves the powers
+    independent over F_p.  Over Q each form is first scaled to integer
+    coefficients, which scales its power and keeps (in)dependence; a
+    relation among integer powers clears to one with coprime integer
+    weights, which survives reduction mod q.
+    """
+    rows, p = _integer_rows([[f.terms.get(m, domain.zero) for m in monos] for f in inst.forms],
+                            domain)
+    field = domain if p else CERTIFICATE_FIELD
+    if not p:
+        p = field.p
+        rows = [[c % p for c in row] for row in rows]
+    r = inst.power
+    values = []
+    for x in _certificate_points(inst, len(monos[0]), p):
+        mono_vals = []
+        for m in monos:
+            v = 1
+            for xi, e in zip(x, m):
+                if e:
+                    v = v * pow(xi, e, p) % p
+            mono_vals.append(v)
+        values.append([pow(sum(map(int.__mul__, cs, mono_vals)) % p, r, p) for cs in rows])
+    return exact_rank(values, field) == len(inst.forms)
+
+
 def power_independence(inst: PowerInstance) -> tuple[bool, int]:
     """Whether p_1^r, ..., p_k^r are linearly independent, with the exact rank.
 
-    Raises ProportionalPair if two input forms are linearly dependent (the
-    instance precondition), detected through 2x2 minors of their coefficient
-    vectors.
+    The forms must be homogeneous of one degree s, and r >= 0.  Raises
+    ProportionalPair if two input forms are linearly dependent (the instance
+    precondition), detected through 2x2 minors of their coefficient vectors.
+
+    Certificate first: the forms are evaluated at k points drawn from the
+    instance's own seed, and each value is raised to r modulo a prime.  Rank
+    k of that k x k matrix proves independence and returns (True, k) without
+    expanding a power.  Otherwise (dependent powers, or points on which some
+    nonzero combination happens to vanish) every p_i^r is expanded and the
+    k x T matrix of its degree-s*r coefficients is ranked exactly.
     """
+    if inst.power < 0:
+        raise ValueError(f"power must be >= 0, got {inst.power}")
     forms = inst.forms
     if not forms:
         return True, 0
     ring = forms[0].ring
     domain = ring.domain
     s = forms[0].total_degree()
+    if any(sum(m) != s for f in forms for m in f.terms):
+        raise ValueError(f"power_independence needs forms homogeneous of one degree s={s}")
     monos = monomials_of_degree(ring.nvars, s)
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             if _proportional(forms[i].terms, forms[j].terms, monos, domain):
                 raise ProportionalPair(i, j)
+    if _powers_certified(inst, monos, domain):
+        return True, len(forms)
     target = monomials_of_degree(ring.nvars, s * inst.power)
     rows = []
     for p in forms:
@@ -264,9 +325,21 @@ def power_threshold_scan(
     By default checks the power r = count - 1 (the proven threshold); with
     `find_min_power` it also records, per instance, the least r at which the
     powers become independent (linear scan from 1).
+
+    Raises ValueError, naming the inputs, for a count below 1 or a negative
+    power, and when two or more forms are asked of a single monomial (one
+    variable, or form degree 0), where no pairwise non-proportional forms
+    exist.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if count > 1 and len(monomials_of_degree(nvars, form_degree)) == 1:
+        raise ValueError(
+            f"count={count} needs pairwise non-proportional forms, but vars={nvars} "
+            f"and form degree={form_degree} leave a single monomial"
+        )
     if power is None:
         power = count - 1
     domain = auto_prime_field(derive_seed(seed, "power-domain"))

@@ -68,6 +68,34 @@ def expected_quartic_coefficients(ring):
     return [poly_from_terms(ring, s) for s in (s0, s1, s2, s3, s4)]
 
 
+def reference_rank(rows, p=0):
+    """Rank and reduced row echelon rows: over Q in fractions (p = 0), else mod p.
+
+    An independent oracle: plain Gauss-Jordan, separate from the package's
+    echelon kernel and its full-rank certificates."""
+    if p:
+        m = [[v % p for v in row] for row in rows]
+        div = lambda a, b: a * pow(b, p - 2, p) % p
+    else:
+        m = [[Fraction(v) for v in row] for row in rows]
+        div = lambda a, b: a / b
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [div(v, m[rank][col]) for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+                if p:
+                    m[i] = [v % p for v in m[i]]
+        rank += 1
+    return rank, m[:rank]
+
+
 def tctc_gauge_mask():
     """Gauge pinning the first layer's off-diagonal to 1 (standard elsewhere),
     so that at a11 = a22 = 0 the two first-layer forms are exactly (y, x)."""

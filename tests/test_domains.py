@@ -54,6 +54,8 @@ def test_prime_field_arithmetic():
 
 def test_rational_domain_is_exact():
     assert RATIONALS.inv(Fraction(3, 7)) == Fraction(7, 3)
+    inv = RATIONALS.inv(3)  # a plain int in a rational path gives a Fraction, not a float
+    assert inv == Fraction(1, 3) and isinstance(inv, Fraction)
     assert RATIONALS.from_int(-4) == Fraction(-4)
     rng = random.Random(0)
     for _ in range(50):

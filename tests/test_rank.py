@@ -9,10 +9,11 @@ from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import PivotVanishes, SamplingExhausted
 from neurovar.network import gauge_fix, validate, weight_name
 from neurovar.poly import Ring, poly_pow
-from support import tctc_gauge_mask
+from support import reference_rank, tctc_gauge_mask
 
 import neurovar.rank as rank_module
 from neurovar.rank import (
+    CERTIFICATE_FIELD,
     auto_prime_field,
     block_ranks,
     derive_seed,
@@ -28,32 +29,7 @@ from neurovar.theory import dim_upper_bound, expected_dim
 PRIME = auto_prime_field(97)
 
 
-# -- independent rank oracle (plain Gauss-Jordan, separate from the echelon kernel)
-
-
-def reference_rank(rows, p=0):
-    """Rank and reduced row echelon rows: over Q in fractions (p = 0), else mod p."""
-    if p:
-        m = [[v % p for v in row] for row in rows]
-        div = lambda a, b: a * pow(b, p - 2, p) % p
-    else:
-        m = [[Fraction(v) for v in row] for row in rows]
-        div = lambda a, b: a / b
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        m[rank] = [div(v, m[rank][col]) for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-                if p:
-                    m[i] = [v % p for v in m[i]]
-        rank += 1
-    return rank, m[:rank]
+# -- independent kernel oracle (reads `support.reference_rank`'s reduced rows)
 
 
 def reference_kernel(reduced, ncols, p=0):
@@ -135,6 +111,54 @@ def _rank_deficient_matrices(rng):
     return mats
 
 
+def _certificate_prime_matrices(rng):
+    """Matrices built around the certificate prime q: A + q*B with A of low
+    rank, and a column of multiples of q, whose ranks modulo q are below
+    their rational ranks; and a row with denominator q, which clears to
+    multiples of q but for one entry."""
+    q = CERTIFICATE_FIELD.p
+    mats = []
+    for nr, nc, k in ((3, 3, 1), (4, 4, 2), (2, 5, 1), (5, 2, 1), (4, 4, 0)):
+        left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(nr)]
+        right = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(k)]
+        mats.append([[Fraction(sum(a * r[j] for a, r in zip(row, right)) + q * rng.randint(-3, 3))
+                      for j in range(nc)] for row in left])
+    column = [[Fraction(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
+    for row in column:
+        row[0] = Fraction(q * rng.randint(1, 9))
+    mats.append(column)
+    mats.append([[Fraction(1, q), Fraction(2), Fraction(3)],
+                 [Fraction(4), Fraction(5), Fraction(6)],
+                 [Fraction(7), Fraction(8), Fraction(10)]])
+    return mats
+
+
+def test_exact_rank_certificate_falls_back_on_full_rank(monkeypatch):
+    # [[q, 0], [0, 1]] has rank 1 modulo q and rank 2 over Q: the certificate
+    # fails and Bareiss gives the rank.  A matrix that is nonsingular modulo
+    # q is answered by the certificate alone; over F_p no certificate runs.
+    q = CERTIFICATE_FIELD.p
+    moduli = []
+    echelon = rank_module._echelon
+
+    def recording(m, p):
+        moduli.append(p)
+        return echelon(m, p)
+
+    monkeypatch.setattr(rank_module, "_echelon", recording)
+    assert exact_rank([[Fraction(q), Fraction(0)], [Fraction(0), Fraction(1)]], RATIONALS) == 2
+    assert moduli == [q, 0]
+    moduli.clear()
+    assert exact_rank([[Fraction(q), Fraction(2 * q)], [Fraction(1), Fraction(2)]], RATIONALS) == 1
+    assert moduli == [q, 0]
+    moduli.clear()
+    assert exact_rank([[Fraction(1, 3), Fraction(2)], [Fraction(5), Fraction(7)]], RATIONALS) == 2
+    assert moduli == [q]
+    moduli.clear()
+    assert exact_rank([[1, 2], [3, 4]], PRIME) == 2
+    assert moduli == [PRIME.p]
+
+
 def test_exact_rank_matches_reference_on_random_matrices():
     rng = random.Random(17)
     mats = []
@@ -147,6 +171,7 @@ def test_exact_rank_matches_reference_on_random_matrices():
     mats += [[[Fraction(rng.randint(-6, 6)) for _ in range(nc)] for _ in range(nr)]
              for nr, nc in ((2, 7), (7, 2), (1, 5), (5, 1))]
     mats += _rank_deficient_matrices(rng)
+    mats += _certificate_prime_matrices(rng)
     p = PRIME.p
     for rows in mats:
         expected, reduced = reference_rank(rows)

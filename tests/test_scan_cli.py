@@ -369,9 +369,15 @@ def test_cli_scan_respects_worker_env():
         (["scan", "--depths", "2", "--max-width", "2", "--max-out", "1"], {"NV_THREADS": "abc"}),
         (["check", "-n", "2,1"], {}),
         (["dims", "-n", "2,2,1", "-d", "2"], {"NV_SEED": "abc"}),
+        (["power-indep", "--vars", "1", "--count", "2", "--form-degree", "2"], {}),
+        (["power-indep", "--vars", "2", "--count", "3", "--form-degree", "0"], {}),
+        (["power-indep", "--vars", "2", "--count", "0", "--form-degree", "1"], {}),
+        (["power-indep", "--vars", "2", "--count", "2", "--form-degree", "1", "--power", "-1"],
+         {}),
     ],
     ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
-         "check-depth-1", "seed-abc"],
+         "check-depth-1", "seed-abc", "power-vars-1", "power-form-degree-0", "power-count-0",
+         "power-negative"],
 )
 def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)

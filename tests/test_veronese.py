@@ -6,19 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from neurovar.domains import RATIONALS
+import neurovar.poly as poly_module
+import neurovar.veronese as veronese_module
+from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import AmbientTooLarge, ProportionalPair
-from neurovar.poly import Ring, SparsePoly, monomials_of_degree
-from neurovar.rank import auto_prime_field
+from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_pow
+from neurovar.rank import CERTIFICATE_FIELD, auto_prime_field
 from neurovar.theory import ah_secant_defective, expected_secant_dim
 from neurovar.veronese import (
     PowerInstance,
+    _proportional,
     composite_veronese,
     empirical_secant_dim,
     image_linear_relations,
     power_independence,
     power_threshold_scan,
 )
+from support import reference_rank
 
 
 def test_composite_veronese_conic():
@@ -261,3 +265,124 @@ def test_power_independence_monotone_in_power():
             if base is not None and r >= base:
                 assert ok
         assert min_r <= 3  # proven threshold k-1 for k = 4
+
+
+# -- the evaluation certificate against the expansion route ---------------------------
+
+
+def _expanded_rank(forms, power):
+    """Rank of the coefficient rows of p_i^r, from `poly_pow` and the oracle."""
+    ring = forms[0].ring
+    domain = ring.domain
+    target = monomials_of_degree(ring.nvars, forms[0].total_degree() * power)
+    rows = [[poly_pow(f, power).terms.get(m, domain.zero) for m in target] for f in forms]
+    return reference_rank(rows, getattr(domain, "p", 0))[0]
+
+
+def _random_forms(ring, count, degree, rng):
+    """Random pairwise non-proportional forms of one degree over the ring's domain."""
+    domain = ring.domain
+    monos = monomials_of_degree(ring.nvars, degree)
+    forms = []
+    while len(forms) < count:
+        if isinstance(domain, PrimeField):
+            terms = {m: domain.sample(rng) for m in monos}
+        else:
+            terms = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for m in monos}
+        cand = SparsePoly(ring, {m: c for m, c in terms.items() if c})
+        if cand.is_zero() or any(_proportional(cand.terms, f.terms, monos, domain) for f in forms):
+            continue
+        forms.append(cand)
+    return tuple(forms)
+
+
+def _certificate_cases():
+    """(forms, power) over F_p and Q: random instances at powers 0..k, and the
+    dependent families below the threshold and beyond the monomial count."""
+    rng = random.Random(41)
+    cases = []
+    for domain in (auto_prime_field(41), RATIONALS):
+        for nvars, count, degree in ((2, 3, 1), (2, 4, 2), (3, 4, 1), (3, 3, 2), (2, 5, 1)):
+            ring = Ring([f"z{i}" for i in range(nvars)], domain)
+            forms = _random_forms(ring, count, degree, rng)
+            cases += [(forms, r) for r in range(count + 1)]
+    return cases
+
+
+def _counting_poly_pow(monkeypatch):
+    calls = []
+
+    def counted(p, e):
+        calls.append(e)
+        return poly_pow(p, e)
+
+    monkeypatch.setattr(poly_module, "poly_pow", counted)
+    return calls
+
+
+def test_power_independence_matches_expansion(monkeypatch):
+    calls = _counting_poly_pow(monkeypatch)
+    dependent = 0
+    for forms, r in _certificate_cases():
+        expected = _expanded_rank(forms, r)
+        calls.clear()
+        assert power_independence(PowerInstance(forms, r)) == (expected == len(forms), expected)
+        if expected == len(forms):
+            assert not calls  # the certificate alone proved independence
+        else:
+            dependent += 1
+            assert calls  # the expansion decided
+    # Powers below k - 1 of binary linear forms, and five binary linear forms
+    # at r = 2 (three monomials), are among the dependent cases.
+    assert dependent >= 10
+
+
+def test_power_independence_falls_back_on_repeated_points(monkeypatch):
+    calls = _counting_poly_pow(monkeypatch)
+    monkeypatch.setattr(
+        veronese_module, "_certificate_points",
+        lambda inst, nvars, p: [[3] * nvars for _ in inst.forms],
+    )
+    for forms, r in _certificate_cases():
+        expected = _expanded_rank(forms, r)
+        calls.clear()
+        assert power_independence(PowerInstance(forms, r)) == (expected == len(forms), expected)
+        assert calls  # one repeated point certifies nothing for k >= 2
+
+
+def test_power_independence_certificate_with_denominator_q(monkeypatch):
+    # A coefficient 1/q is cleared to an integer before reduction mod q, so
+    # the certificate still proves independence, without expanding a power.
+    calls = _counting_poly_pow(monkeypatch)
+    ring = Ring(["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    forms = (x.scale(Fraction(1, CERTIFICATE_FIELD.p)) + y, y, x + y)
+    assert _expanded_rank(forms, 2) == 3
+    assert power_independence(PowerInstance(forms, 2)) == (True, 3)
+    assert not calls
+
+
+def test_power_independence_rejects_bad_instances():
+    ring = Ring(["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    with pytest.raises(ValueError, match="power must be >= 0, got -1"):
+        power_independence(PowerInstance((x, y), -1))
+    with pytest.raises(ValueError, match="homogeneous"):
+        power_independence(PowerInstance((x, y * y), 2))
+    assert power_independence(PowerInstance((x, y), 0)) == (False, 1)
+
+
+@pytest.mark.parametrize(
+    "nvars, count, form_degree, power, message",
+    [
+        (2, 0, 1, None, "count must be >= 1, got 0"),
+        (1, 2, 3, None, "vars=1"),
+        (3, 2, 0, None, "form degree=0"),
+        (0, 2, 1, None, "nvars must be >= 1"),
+        (2, 2, -1, None, "deg must be >= 0"),
+        (2, 2, 1, -1, "power must be >= 0, got -1"),
+    ],
+)
+def test_power_threshold_scan_rejects_bad_input(nvars, count, form_degree, power, message):
+    with pytest.raises(ValueError, match=message):
+        power_threshold_scan(nvars, count, form_degree, trials=3, seed=8, power=power)
