@@ -8,7 +8,9 @@ Verbs:
     power-indep      random power-independence trials
     relations        linear relations on a composite Veronese image
 
-Exit codes: 0 success, 2 invalid input, 3 sampling exhausted, 4 I/O error.
+Exit codes: 0 success, 1 failed re-check or refused computation (a
+--confirm-rational mismatch, a composite Veronese stage past its ambient cap),
+2 invalid input, 3 sampling exhausted, 4 I/O error.
 NV_SEED overrides --seed; NV_THREADS sizes the scan worker pool.
 """
 
@@ -79,15 +81,18 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(args, record: dict, lines: list[str]) -> None:
+    """Write `record` as indented JSON with --json, else `lines`, one per line,
+    to stdout or the --out path."""
+    text = (json.dumps(record, indent=2) if args.json else "\n".join(lines)) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write {out}: {exc}") from exc
+        raise OSError(f"cannot write {args.out}: {exc}") from exc
 
 
 def cmd_dims(args) -> int:
@@ -111,24 +116,21 @@ def cmd_dims(args) -> int:
             return 1
 
     record = report_record(arch, report, verdict_label)
-    if args.json:
-        _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    else:
-        lines = [
-            f"architecture      {arch.label()}",
-            f"expdim            {report.expdim_general}",
-            f"expdim_refined    {report.expdim_refined if report.expdim_refined is not None else '-'}",
-            f"dim_actual        {report.dim_actual}",
-            f"fiber_dim         {report.fiber_dim}",
-            f"defective         {str(report.defective).lower()}",
-            f"verdict           {verdict_label}",
-            f"trials/seed       {report.trials}/{report.seed}",
-            f"domain            {report.domain_kind}"
-            + (f" (p={report.prime})" if report.prime is not None else ""),
-            f"pivot             {record['pivot']}",
-            f"witness           {report.witness}",
-        ]
-        _write_out("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"architecture      {arch.label()}",
+        f"expdim            {report.expdim_general}",
+        f"expdim_refined    {report.expdim_refined if report.expdim_refined is not None else '-'}",
+        f"dim_actual        {report.dim_actual}",
+        f"fiber_dim         {report.fiber_dim}",
+        f"defective         {str(report.defective).lower()}",
+        f"verdict           {verdict_label}",
+        f"trials/seed       {report.trials}/{report.seed}",
+        f"domain            {report.domain_kind}"
+        + (f" (p={report.prime})" if report.prime is not None else ""),
+        f"pivot             {record['pivot']}",
+        f"witness           {report.witness}",
+    ]
+    _emit(args, record, lines)
     return 0
 
 
@@ -159,25 +161,22 @@ def cmd_check(args) -> int:
             else None
         ),
     }
-    if args.json:
-        _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    else:
-        lines = [f"architecture      {arch.label()}", f"verdict           {verdict.label()}"]
-        for lv in verdict.room.levels:
-            cmp = "<" if lv.holds else ">="
-            lines.append(f"room level {lv.layer}      {lv.lhs} {cmp} {lv.rhs}")
-        q = verdict.ah_query
+    lines = [f"architecture      {arch.label()}", f"verdict           {verdict.label()}"]
+    for lv in verdict.room.levels:
+        cmp = "<" if lv.holds else ">="
+        lines.append(f"room level {lv.layer}      {lv.lhs} {cmp} {lv.rhs}")
+    q = verdict.ah_query
+    lines.append(
+        f"last Veronese     V^{q[0]-1}_{q[1]} secant order {q[2]}: "
+        + ("defective" if verdict.ah_defective else "not defective")
+    )
+    if verdict.condition3 is not None:
+        c3 = verdict.condition3
         lines.append(
-            f"last Veronese     V^{q[0]-1}_{q[1]} secant order {q[2]}: "
-            + ("defective" if verdict.ah_defective else "not defective")
+            f"condition (iii)   single-output expdim {c3.single_output_expdim} "
+            f"vs parameters {c3.parameter_count}: {'holds' if c3.holds else 'fails'}"
         )
-        if verdict.condition3 is not None:
-            c3 = verdict.condition3
-            lines.append(
-                f"condition (iii)   single-output expdim {c3.single_output_expdim} "
-                f"vs parameters {c3.parameter_count}: {'holds' if c3.holds else 'fails'}"
-            )
-        _write_out("\n".join(lines) + "\n", args.out)
+    _emit(args, record, lines)
     return 0
 
 
@@ -236,16 +235,10 @@ def cmd_veronese_secant(args) -> int:
         "domain": domain.kind,
         "prime": str(domain.p) if isinstance(domain, PrimeField) else None,
     }
-    if args.json:
-        _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    else:
-        _write_out(
-            f"Sec_{args.secant}(V^{args.nvars - 1}_{args.deg}): dim {dim} "
-            f"(expected {expected}) -> "
-            + ("defective" if record["defective"] else "not defective")
-            + "\n",
-            args.out,
-        )
+    _emit(args, record, [
+        f"Sec_{args.secant}(V^{args.nvars - 1}_{args.deg}): dim {dim} "
+        f"(expected {expected}) -> " + ("defective" if record["defective"] else "not defective")
+    ])
     return 0
 
 
@@ -271,14 +264,9 @@ def cmd_power_indep(args) -> int:
         "min_powers": list(report.min_powers) if report.min_powers is not None else None,
         "seed": seed,
     }
-    if args.json:
-        _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    else:
-        _write_out(
-            f"{report.independent}/{report.trials} instances independent at power "
-            f"r={report.power}\n",
-            args.out,
-        )
+    _emit(args, record, [
+        f"{report.independent}/{report.trials} instances independent at power r={report.power}"
+    ])
     return 0
 
 
@@ -294,12 +282,8 @@ def cmd_relations(args) -> int:
         "relations": [str(b) for b in basis],
         "seed": seed,
     }
-    if args.json:
-        _write_out(json.dumps(record, indent=2) + "\n", args.out)
-    else:
-        lines = [f"ambient coordinates: {cv.ambient}", f"kernel dimension: {len(basis)}"]
-        lines += [f"  {b}" for b in basis]
-        _write_out("\n".join(lines) + "\n", args.out)
+    lines = [f"ambient coordinates: {cv.ambient}", f"kernel dimension: {len(basis)}"]
+    _emit(args, record, lines + [f"  {b}" for b in basis])
     return 0
 
 

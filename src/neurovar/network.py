@@ -1,4 +1,4 @@
-"""Symbolic forward pass of a polynomial network and its coefficient maps.
+"""Architectures of polynomial networks and their gauged parameterization.
 
 A network is a width vector (n_0, ..., n_L) together with activation degrees
 (d_1, ..., d_{L-1}).  Layer i applies the weight matrix W_i (shape
@@ -10,21 +10,19 @@ gives the coefficient map; fixing the last column of every W_i to 1 and
 dividing through by a pivot coefficient gives the affine gauged map whose
 Jacobian rank measures the dimension of the network's function space.
 
-Weights are addressed by their (layer, row, col) position (layer 1-based, row
-and column 0-based).  Names ``w{layer}_{row}_{col}`` exist only as variables of
-the symbolic ring behind the coefficient map, a test oracle, next to the inputs
-``x{i}``; no report carries them.
+This module holds the architecture record and the gauge decision
+(`GaugedMap`); `rank.jacobian_at` evaluates the gauged map's Jacobian at a
+point without forming the coefficient map.  Weights are addressed by their
+(layer, row, col) position (layer 1-based, row and column 0-based); no report
+names them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .domains import RATIONALS
 from .errors import DegreeBelowTwo, LengthMismatch, WidthZero
-from .poly import Monomial, Ring, SparsePoly, monomials_of_degree
 
 # A gauge mask lists, per layer, the (row, col) weight positions fixed to 1.
 GaugeMask = tuple[tuple[tuple[int, int], ...], ...]
@@ -107,10 +105,6 @@ def last_column_gauge(arch: Architecture) -> GaugeMask:
     )
 
 
-def weight_name(layer: int, row: int, col: int) -> str:
-    return f"w{layer}_{row}_{col}"
-
-
 def weight_positions(arch: Architecture) -> list[tuple[int, int, int]]:
     """All (layer, row, col) weight positions, layer-major then row-major."""
     out = []
@@ -119,100 +113,6 @@ def weight_positions(arch: Architecture) -> list[tuple[int, int, int]]:
             for c in range(arch.widths[i - 1]):
                 out.append((i, r, c))
     return out
-
-
-def symbolic_weights(
-    arch: Architecture, ring: Ring, mask: GaugeMask | None = None
-) -> list[list[list[SparsePoly]]]:
-    """Weight matrices of symbolic entries, masked positions set to 1 (no mask:
-    every weight symbolic)."""
-    gmap = gauge_fix(arch, ((),) * arch.depth if mask is None else mask)
-    return gmap.weight_matrices([ring.var(weight_name(*pos)) for pos in gmap.free], ring.one())
-
-
-def forward_layers(arch: Architecture, matrices) -> list[list[SparsePoly]]:
-    """All intermediate forms F_{k,j}, as layers[k-1][j] for k = 1..L, given the
-    per-layer weight matrices as ring elements; the outputs are layers[-1].
-
-    F_{1,j} are the input linear forms; thereafter
-    F_{k,j} = sum_i W_k[j][i] * F_{k-1,i}^{d_{k-1}}, so the x-degree of layer
-    k is the product of the first k-1 activation degrees.
-    """
-    ring = matrices[0][0][0].ring
-    current = [ring.var(f"x{i}") for i in range(arch.n_in)]
-    layers = []
-    for k in range(1, arch.depth + 1):
-        if k >= 2:
-            d = arch.degrees[k - 2]
-            current = [p ** d for p in current]
-        W = matrices[k - 1]
-        nxt = []
-        for r in range(arch.widths[k]):
-            acc = ring.zero()
-            for c in range(arch.widths[k - 1]):
-                acc = acc + W[r][c] * current[c]
-            nxt.append(acc)
-        layers.append(nxt)
-        current = nxt
-    return layers
-
-
-@dataclass(frozen=True)
-class CoefficientMap:
-    """Per output, the ordered vector of weight-polynomial coefficients.
-
-    Entry j of vector l is the coefficient of the j-th degree-D monomial
-    (lexicographic order) in output l, as a polynomial in all weight entries.
-    """
-
-    arch: Architecture
-    monomials: tuple[Monomial, ...]
-    vectors: tuple[tuple[SparsePoly, ...], ...]
-    weight_ring: Ring
-
-    @property
-    def length(self) -> int:
-        return len(self.monomials)
-
-
-def network_ring(arch: Architecture, domain=RATIONALS) -> Ring:
-    """Ring holding both input and (all) weight variables."""
-    names = [f"x{i}" for i in range(arch.n_in)]
-    names += [weight_name(i, r, c) for (i, r, c) in weight_positions(arch)]
-    return Ring(names, domain)
-
-
-def split_coefficients(
-    arch: Architecture, poly: SparsePoly, weight_ring: Ring
-) -> list[SparsePoly]:
-    """Coefficients of the degree-D x-monomials of `poly`, as weight polynomials.
-
-    `poly` lives in a ring whose first n_0 variables are the inputs.
-    """
-    n0 = arch.n_in
-    monos = monomials_of_degree(n0, arch.total_degree)
-    index = {m: i for i, m in enumerate(monos)}
-    buckets: list[dict] = [dict() for _ in monos]
-    for m, c in poly.terms.items():
-        xm = m[:n0]
-        wb = buckets[index[xm]]
-        wm = m[n0:]
-        wb[wm] = c
-    return [SparsePoly(weight_ring, b) for b in buckets]
-
-
-@lru_cache(maxsize=64)
-def coefficient_map(arch: Architecture) -> CoefficientMap:
-    """Build (and cache) the full symbolic coefficient map of an architecture."""
-    ring = network_ring(arch)
-    wnames = ring.names[arch.n_in :]
-    wring = Ring(wnames, ring.domain)
-    outputs = forward_layers(arch, symbolic_weights(arch, ring))[-1]
-    monos = tuple(monomials_of_degree(arch.n_in, arch.total_degree))
-    vectors = tuple(
-        tuple(split_coefficients(arch, out, wring)) for out in outputs
-    )
-    return CoefficientMap(arch, monos, vectors, wring)
 
 
 @dataclass(frozen=True)
@@ -248,25 +148,6 @@ class GaugedMap:
         for (i, r, c), v in zip(self.free, values, strict=True):
             mats[i - 1][r][c] = v
         return mats
-
-    def dehomogenized_symbolic(self):
-        """Per output, the list of (numerator, pivot) coefficient pairs.
-
-        Materializes the cached symbolic coefficient map with the gauge
-        substituted; intended for small architectures and test oracles, not
-        for the sampling path.
-        """
-        cmap = coefficient_map(self.arch)
-        fixed = {
-            weight_name(i + 1, r, c): RATIONALS.one
-            for i, layer in enumerate(self.mask)
-            for (r, c) in layer
-        }
-        out = []
-        for vec in cmap.vectors:
-            gauged = [s.substitute(fixed) for s in vec]
-            out.append([(num, gauged[0]) for num in gauged[1:]])
-        return out
 
 
 def gauge_fix(arch: Architecture, mask: GaugeMask | None = None) -> GaugedMap:

@@ -14,7 +14,7 @@ coefficient indexing.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .domains import RATIONALS
 
@@ -76,9 +76,6 @@ class Ring:
         if not value:
             return self.zero()
         return SparsePoly(self, {(0,) * self.nvars: value})
-
-    def const_int(self, n: int) -> "SparsePoly":
-        return self.const(self.domain.from_int(n))
 
     def var(self, name: str) -> "SparsePoly":
         exp = [0] * self.nvars
@@ -181,35 +178,9 @@ class SparsePoly:
         """Max term degree; 0 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=0)
 
-    def degree_in(self, var_indices: Iterable[int]) -> int:
-        """Max combined degree over the given variable positions."""
-        idx = tuple(var_indices)
-        return max((sum(m[i] for i in idx) for m in self.terms), default=0)
-
     def terms_sorted(self) -> list[tuple[Monomial, object]]:
         """Terms in canonical (lexicographically descending) order."""
         return sorted(self.terms.items(), reverse=True)
-
-    # -- calculus and specialization ------------------------------------------
-
-    def partial(self, var: str | int) -> "SparsePoly":
-        """Formal partial derivative with respect to one variable."""
-        i = var if isinstance(var, int) else self.ring.index(var)
-        dom = self.ring.domain
-        out: dict = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            dm = m[:i] + (e - 1,) + m[i + 1 :]
-            coeff = dom.mul(c, dom.from_int(e))
-            if dm in out:
-                coeff = dom.add(out[dm], coeff)
-            if coeff:
-                out[dm] = coeff
-            elif dm in out:
-                del out[dm]
-        return SparsePoly(self.ring, out)
 
     def eval(self, point):
         """Evaluate at a full assignment (dict name->value or sequence by index)."""
@@ -228,36 +199,6 @@ class SparsePoly:
                     term = dom.mul(term, _power(dom, v, e))
             total = dom.add(total, term)
         return total
-
-    def substitute(self, assignment: Mapping[str, object]) -> "SparsePoly":
-        """Specialize a subset of variables to domain values.
-
-        The result lives in the same ring with the substituted variables no
-        longer occurring.
-        """
-        dom = self.ring.domain
-        idx_val = {self.ring.index(n): v for n, v in assignment.items()}
-        out: dict = {}
-        for m, c in self.terms.items():
-            coeff = c
-            newm = list(m)
-            for i, v in idx_val.items():
-                e = m[i]
-                if e:
-                    coeff = dom.mul(coeff, _power(dom, v, e))
-                    newm[i] = 0
-            if not coeff:
-                continue
-            key = tuple(newm)
-            if key in out:
-                s = dom.add(out[key], coeff)
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-            else:
-                out[key] = coeff
-        return SparsePoly(self.ring, out)
 
     def __repr__(self):
         if not self.terms:

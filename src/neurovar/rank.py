@@ -7,9 +7,10 @@ one forward tangent pass per free weight, sharing the cached layer powers:
 if F_t are the layer forms and G_t their activations, a tangent seeded at
 weight (j, u, v) propagates as dF_t[i] = sum_s W_t[i][s]*d_{t-1}*
 F_{t-1}[s]^(d_{t-1}-1)*dF_{t-1}[s].  The quotient rule then yields the
-derivative of every dehomogenized coordinate.  Symbolic differentiation of
-the full coefficient map would blow up with depth; the per-point pass stays
-polynomial-sized and is validated against the symbolic route on small cases.
+derivative of every dehomogenized coordinate.  This is the package's only
+Jacobian route: the coefficient map is never expanded symbolically, since
+that blows up with depth.  The test suite checks the per-point pass against
+formal derivatives of a symbolic coefficient map on small cases.
 
 One forward row-echelon routine serves rank and nullspace alike: ordinary
 elimination modulo p for prime fields, fraction-free (Bareiss) elimination

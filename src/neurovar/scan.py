@@ -77,6 +77,8 @@ class ScanSpec:
             raise ValueError("width bounds must satisfy 1 <= min <= max")
         if self.min_degree < 2 or self.max_degree < self.min_degree:
             raise ValueError("degree bounds must satisfy 2 <= min <= max")
+        if not self.depths:
+            raise ValueError("depths must list at least one depth")
         if any(L < 2 for L in self.depths):
             raise ValueError("scans cover depths L >= 2")
         if self.max_out_width < 1:

@@ -23,6 +23,7 @@ unlucky) are the powers expanded and their coefficient rows ranked exactly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -42,7 +43,11 @@ from .rank import (
     nullspace,
 )
 
-AMBIENT_CAP = 100_000
+# The relation kernel ranks an (ambient + 10) x ambient matrix of fractions,
+# so its time grows about as ambient^4: `image_linear_relations` took 0.5 s at
+# ambient 66, 4.7 s at 120, 11.8 s at 153 and 24.1 s at 190 (2-core x86-64,
+# Python 3.11).  The largest ambient in the tests and the benchmark is 55.
+AMBIENT_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,11 @@ class CompositeVeronese:
 
 
 def composite_veronese(nvars: int, degrees, cap: int = AMBIENT_CAP) -> CompositeVeronese:
-    """Build the chain nu_{e_m} o ... o nu_{e_1} on `nvars` source variables."""
+    """Build the chain nu_{e_m} o ... o nu_{e_1} on `nvars` source variables.
+
+    Raises AmbientTooLarge when a stage would have more than `cap`
+    coordinates, before enumerating that stage's monomials.
+    """
     if nvars < 2:
         raise ValueError("composite Veronese needs at least 2 source variables")
     degrees = tuple(int(e) for e in degrees)
@@ -91,11 +100,10 @@ def composite_veronese(nvars: int, degrees, cap: int = AMBIENT_CAP) -> Composite
     dims = [nvars]
     stages = []
     for e in degrees:
+        count = math.comb(dims[-1] - 1 + e, e)
+        if count > cap:
+            raise AmbientTooLarge(f"stage ambient {count} exceeds the cap {cap}")
         monos = monomials_of_degree(dims[-1], e)
-        if len(monos) > cap:
-            raise AmbientTooLarge(
-                f"stage ambient {len(monos)} exceeds the cap {cap}"
-            )
         stages.append(tuple(monos))
         dims.append(len(monos))
     return CompositeVeronese(nvars, degrees, tuple(stages), tuple(dims))
@@ -326,11 +334,15 @@ def power_threshold_scan(
     `find_min_power` it also records, per instance, the least r at which the
     powers become independent (linear scan from 1).
 
-    Raises ValueError, naming the inputs, for a count below 1 or a negative
-    power, and when two or more forms are asked of a single monomial (one
-    variable, or form degree 0), where no pairwise non-proportional forms
-    exist.
+    Raises ValueError, naming the inputs, for vars below 1, a negative form
+    degree, a count below 1 or a negative power, and when two or more forms
+    are asked of a single monomial (one variable, or form degree 0), where no
+    pairwise non-proportional forms exist.
     """
+    if nvars < 1:
+        raise ValueError(f"vars={nvars}: nvars must be >= 1")
+    if form_degree < 0:
+        raise ValueError(f"form degree={form_degree}: deg must be >= 0")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if count < 1:

@@ -1,0 +1,101 @@
+"""The symbolic coefficient map, kept as a test oracle for the sampled Jacobian.
+
+`symbolic_map` runs one forward pass of a gauged network over a ring of the
+inputs ``x{i}`` and the free weights ``w{layer}_{row}_{col}`` (gauged
+positions are 1) and splits each output by x-monomial, so every coefficient
+is an exact polynomial in the free weights.  The full map is the same builder
+on the ungauged map (`ungauged`).  Formal partial derivatives (`partial`) and
+the quotient rule then give the gauged Jacobian that `rank.jacobian_at`
+evaluates numerically.  The expansion grows quickly with depth and degree, so
+only small architectures are affordable.
+"""
+
+from neurovar.network import gauge_fix
+from neurovar.poly import Ring, SparsePoly, monomials_of_degree
+
+
+def weight_name(layer, row, col):
+    return f"w{layer}_{row}_{col}"
+
+
+def ungauged(arch):
+    """The GaugedMap with every weight free."""
+    return gauge_fix(arch, ((),) * arch.depth)
+
+
+def network_ring(gmap):
+    """Inputs x0..x_{n0-1}, then the free weights of `gmap` in position order."""
+    names = [f"x{i}" for i in range(gmap.arch.n_in)]
+    return Ring(names + [weight_name(*pos) for pos in gmap.free])
+
+
+def symbolic_weights(gmap, ring):
+    """Weight matrices with every free weight a variable of `ring`, 1 where gauged."""
+    return gmap.weight_matrices([ring.var(weight_name(*pos)) for pos in gmap.free], ring.one())
+
+
+def forward_layers(arch, matrices):
+    """All intermediate forms F_{k,j}, as layers[k-1][j] for k = 1..L, given the
+    per-layer weight matrices as ring elements; the outputs are layers[-1].
+
+    F_{1,j} are the input linear forms; thereafter
+    F_{k,j} = sum_i W_k[j][i] * F_{k-1,i}^{d_{k-1}}, so the x-degree of layer
+    k is the product of the first k-1 activation degrees.
+    """
+    ring = matrices[0][0][0].ring
+    current = [ring.var(f"x{i}") for i in range(arch.n_in)]
+    layers = []
+    for k in range(1, arch.depth + 1):
+        if k >= 2:
+            d = arch.degrees[k - 2]
+            current = [p ** d for p in current]
+        W = matrices[k - 1]
+        nxt = []
+        for r in range(arch.widths[k]):
+            acc = ring.zero()
+            for c in range(arch.widths[k - 1]):
+                acc = acc + W[r][c] * current[c]
+            nxt.append(acc)
+        layers.append(nxt)
+        current = nxt
+    return layers
+
+
+def symbolic_map(gmap):
+    """(vectors, weight_ring): per output, the coefficients of its degree-D
+    x-monomials in lexicographic order, as polynomials in the free weights.
+
+    The pivot of every output is entry 0, the coefficient of x0^D.
+    """
+    arch = gmap.arch
+    n0 = arch.n_in
+    ring = network_ring(gmap)
+    weight_ring = Ring(ring.names[n0:])
+    index = {m: j for j, m in enumerate(monomials_of_degree(n0, arch.total_degree))}
+    vectors = []
+    for out in forward_layers(arch, symbolic_weights(gmap, ring))[-1]:
+        buckets = [{} for _ in index]
+        for m, c in out.terms.items():
+            buckets[index[m[:n0]]][m[n0:]] = c
+        vectors.append(tuple(SparsePoly(weight_ring, b) for b in buckets))
+    return tuple(vectors), weight_ring
+
+
+def partial(poly, var):
+    """Formal partial derivative of `poly` with respect to the variable `var`."""
+    i = poly.ring.index(var)
+    dom = poly.ring.domain
+    out = {}
+    for m, c in poly.terms.items():
+        e = m[i]
+        if e == 0:
+            continue
+        dm = m[:i] + (e - 1,) + m[i + 1 :]
+        coeff = dom.mul(c, dom.from_int(e))
+        if dm in out:
+            coeff = dom.add(out[dm], coeff)
+        if coeff:
+            out[dm] = coeff
+        elif dm in out:
+            del out[dm]
+    return SparsePoly(poly.ring, out)

@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-from neurovar.network import weight_name
 from neurovar.poly import SparsePoly
+from oracle import weight_name
 
 # Shorthand for weight names in golden data: a01 -> w1_0_1, b10 -> w2_1_0, ...
 _LAYER_OF = {"a": 1, "b": 2, "c": 3}
@@ -102,10 +103,16 @@ def tctc_gauge_mask():
     return (((0, 1), (1, 0)), ((0, 1), (1, 1)), ((0, 1),))
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, env_extra=None):
+    """Run `python -m neurovar` on this checkout's source, whatever the caller's
+    PYTHONPATH."""
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "neurovar", *args],
         capture_output=True,

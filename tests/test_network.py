@@ -1,4 +1,5 @@
-"""Forward pass, coefficient maps, and gauge: pinned examples and symmetries."""
+"""Forward pass, coefficient maps (through the symbolic oracle), and gauge:
+pinned examples and symmetries."""
 
 import math
 import random
@@ -7,17 +8,16 @@ from fractions import Fraction
 import pytest
 
 from neurovar.errors import DegreeBelowTwo, LengthMismatch, WidthZero
-from neurovar.network import (
-    coefficient_map,
+from neurovar.network import gauge_fix, last_column_gauge, validate
+from neurovar.poly import Ring, monomials_of_degree, poly_pow
+from oracle import (
     forward_layers,
-    gauge_fix,
-    last_column_gauge,
     network_ring,
+    symbolic_map,
     symbolic_weights,
-    validate,
+    ungauged,
     weight_name,
 )
-from neurovar.poly import Ring, monomials_of_degree, poly_pow
 from support import expected_quartic_coefficients, tctc_gauge_mask
 
 # -- validate -----------------------------------------------------------------
@@ -60,15 +60,16 @@ def test_validate_rejects_length_mismatch():
 
 def test_forward_matches_displayed_quartic():
     arch = validate((2, 2, 2, 1), (2, 2))
-    cmap = coefficient_map(arch)
-    expected = expected_quartic_coefficients(cmap.weight_ring)
-    assert list(cmap.vectors[0]) == expected
+    vectors, weight_ring = symbolic_map(ungauged(arch))
+    expected = expected_quartic_coefficients(weight_ring)
+    assert list(vectors[0]) == expected
 
 
 def test_forward_linear_network_is_matrix_action():
     arch = validate((3, 2), ())
-    ring = network_ring(arch)
-    outputs = forward_layers(arch, symbolic_weights(arch, ring))[-1]
+    gmap = ungauged(arch)
+    ring = network_ring(gmap)
+    outputs = forward_layers(arch, symbolic_weights(gmap, ring))[-1]
     xs = [ring.var(f"x{i}") for i in range(3)]
     for j in range(2):
         expected = ring.zero()
@@ -81,11 +82,14 @@ def test_forward_power_pencil_at_gauge_point():
     # With the first layer pinned to (y, x), each output is a combination of
     # cubes from the pencil <y^3, x^3>.
     arch = validate((2, 2, 2, 1), (3, 3))
-    ring = network_ring(arch)
-    weights = symbolic_weights(arch, ring, mask=tctc_gauge_mask())
-    out = forward_layers(arch, weights)[-1][0].substitute(
-        {weight_name(1, 0, 0): Fraction(0), weight_name(1, 1, 1): Fraction(0)}
+    gmap = gauge_fix(arch, mask=tctc_gauge_mask())
+    ring = network_ring(gmap)
+    at_zero = ((1, 0, 0), (1, 1, 1))
+    weights = gmap.weight_matrices(
+        [ring.zero() if pos in at_zero else ring.var(weight_name(*pos)) for pos in gmap.free],
+        ring.one(),
     )
+    out = forward_layers(arch, weights)[-1][0]
     x, y = ring.var("x0"), ring.var("x1")
     b1, b2, c = (ring.var(weight_name(*t)) for t in ((2, 0, 0), (2, 1, 0), (3, 0, 0)))
     R = b1 * poly_pow(y, 3) + poly_pow(x, 3)
@@ -95,34 +99,34 @@ def test_forward_power_pencil_at_gauge_point():
 
 def test_layer_degrees_follow_activations():
     arch = validate((2, 3, 2, 1), (4, 3))
-    ring = network_ring(arch)
-    layers = forward_layers(arch, symbolic_weights(arch, ring))
-    xidx = (0, 1)
+    gmap = ungauged(arch)
+    ring = network_ring(gmap)
+    layers = forward_layers(arch, symbolic_weights(gmap, ring))
     expected_deg = [1, 4, 12]
     for k, layer in enumerate(layers):
         assert len(layer) == arch.widths[k + 1]
         for p in layer:
-            assert p.degree_in(xidx) == expected_deg[k]
+            assert max(m[0] + m[1] for m in p.terms) == expected_deg[k]
 
 
-# -- coefficient_map ----------------------------------------------------------
+# -- symbolic_map -------------------------------------------------------------
 
 
 def test_coefficient_map_linear_network_is_weights():
     arch = validate((2, 2), ())
-    cmap = coefficient_map(arch)
-    assert cmap.length == 2
+    vectors, weight_ring = symbolic_map(ungauged(arch))
+    assert len(vectors[0]) == 2
     for ell in range(2):
         for j in range(2):
-            assert cmap.vectors[ell][j] == cmap.weight_ring.var(weight_name(1, ell, j))
+            assert vectors[ell][j] == weight_ring.var(weight_name(1, ell, j))
 
 
 def test_coefficient_map_guiding_example_shape():
     arch = validate((2, 3, 2, 1), (4, 3))
-    cmap = coefficient_map(arch)
-    assert cmap.length == math.comb(1 + 12, 1) == 13
-    assert len(cmap.vectors) == 1
-    assert all(not s.is_zero() for s in cmap.vectors[0])
+    vectors, _ = symbolic_map(ungauged(arch))
+    assert len(vectors[0]) == math.comb(1 + 12, 1) == 13
+    assert len(vectors) == 1
+    assert all(not s.is_zero() for s in vectors[0])
 
 
 def _block_indices(arch, ring, layer):
@@ -141,12 +145,11 @@ def test_multi_homogeneity(widths, degrees):
     # Every coefficient is homogeneous of degree prod(d_i..d_{L-1}) in each
     # layer block (degree 1 in the last layer).
     arch = validate(widths, degrees)
-    cmap = coefficient_map(arch)
-    ring = cmap.weight_ring
+    vectors, ring = symbolic_map(ungauged(arch))
     for layer in range(1, arch.depth + 1):
         block = _block_indices(arch, ring, layer)
         target = math.prod(arch.degrees[layer - 1 :]) if layer <= arch.depth - 1 else 1
-        for vec in cmap.vectors:
+        for vec in vectors:
             for s in vec:
                 for mono in s.terms:
                     assert sum(mono[i] for i in block) == target
@@ -204,10 +207,10 @@ def test_scaling_symmetry_depth_two():
 
 
 def test_two_path_consistency():
-    # Specializing the cached symbolic coefficient map at concrete weights
-    # agrees with direct expansion of the forward pass at those weights.
+    # Specializing the symbolic coefficient map at concrete weights agrees
+    # with direct expansion of the forward pass at those weights.
     arch = validate((2, 2, 2, 1), (3, 2))
-    cmap = coefficient_map(arch)
+    vectors, _ = symbolic_map(ungauged(arch))
     ring = Ring([f"x{i}" for i in range(arch.n_in)])
     rng = random.Random(23)
     mats = _random_mats(arch, rng)
@@ -218,7 +221,7 @@ def test_two_path_consistency():
                 values[weight_name(i, r, c)] = Fraction(mats[i - 1][r][c])
     outputs = forward_layers(arch, _concrete_assignment(arch, ring, mats))[-1]
     monos = monomials_of_degree(arch.n_in, arch.total_degree)
-    for ell, vec in enumerate(cmap.vectors):
+    for ell, vec in enumerate(vectors):
         direct = [outputs[ell].terms.get(m, Fraction(0)) for m in monos]
         specialized = [s.eval(values) for s in vec]
         assert direct == specialized

@@ -7,8 +7,9 @@ import pytest
 
 from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import PivotVanishes, SamplingExhausted
-from neurovar.network import gauge_fix, validate, weight_name
+from neurovar.network import gauge_fix, validate
 from neurovar.poly import Ring, poly_pow
+from oracle import partial, symbolic_map
 from support import reference_rank, tctc_gauge_mask
 
 import neurovar.rank as rank_module
@@ -436,27 +437,20 @@ def test_dim_actual_bounded_by_expected_dimensions():
 def symbolic_jacobian(gmap, point):
     """Differentiate the gauged symbolic coefficient ratios directly.
 
-    Independent of the forward-tangent engine: uses the cached coefficient
-    map, formal partial derivatives, and the quotient rule.
+    Independent of the forward-tangent engine: uses the oracle's symbolic
+    map, formal partial derivatives, and the quotient rule.  `point` lists
+    the free weights' values in the oracle ring's variable order.
     """
-    ratios = gmap.dehomogenized_symbolic()
-    values = dict(zip(gmap.free, point))
-    full_point = {}
-    from neurovar.network import weight_positions
-
-    fixed = [set(layer) for layer in gmap.mask]
-    for (i, r, c) in weight_positions(gmap.arch):
-        name = weight_name(i, r, c)
-        full_point[name] = Fraction(1) if (r, c) in fixed[i - 1] else values[(i, r, c)]
+    vectors, ring = symbolic_map(gmap)
     rows = []
-    for per_output in ratios:
-        for num, den in per_output:
-            den_v = den.eval(full_point)
-            num_v = num.eval(full_point)
+    for den, *nums in vectors:
+        den_v = den.eval(point)
+        for num in nums:
+            num_v = num.eval(point)
             row = []
-            for theta in (weight_name(*pos) for pos in gmap.free):
-                dnum = num.partial(theta).eval(full_point)
-                dden = den.partial(theta).eval(full_point)
+            for theta in ring.names:
+                dnum = partial(num, theta).eval(point)
+                dden = partial(den, theta).eval(point)
                 row.append((den_v * dnum - num_v * dden) / (den_v * den_v))
             rows.append(row)
     return rows

@@ -2,12 +2,15 @@
 
 import concurrent.futures
 import json
+import math
 import os
 
 import pytest
 
 from support import run_cli
 
+import neurovar.cli as cli_module
+import neurovar.veronese as veronese_module
 from neurovar.cli import main
 from neurovar.scan import (
     REPORT_KEYS,
@@ -374,10 +377,13 @@ def test_cli_scan_respects_worker_env():
         (["power-indep", "--vars", "2", "--count", "0", "--form-degree", "1"], {}),
         (["power-indep", "--vars", "2", "--count", "2", "--form-degree", "1", "--power", "-1"],
          {}),
+        (["scan", "--depths", ""], {}),
+        (["power-indep", "--vars", "0", "--count", "2", "--form-degree", "1"], {}),
+        (["power-indep", "--vars", "2", "--count", "2", "--form-degree", "-1"], {}),
     ],
     ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
          "check-depth-1", "seed-abc", "power-vars-1", "power-form-degree-0", "power-count-0",
-         "power-negative"],
+         "power-negative", "depths-empty", "power-vars-0", "power-form-degree-negative"],
 )
 def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)
@@ -389,3 +395,24 @@ def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     # A bad environment variable is named in its error.
     assert all(key in err for key in env), err
+
+
+@pytest.mark.parametrize("degrees", ["60,60", "5,20"])
+def test_cli_relations_refuses_ambient_past_cap(degrees, monkeypatch, capsys):
+    # A stage past the cap is refused from its size alone: enumerating its
+    # monomials, or computing relations on it, would not finish.
+    enumerate_monomials = veronese_module.monomials_of_degree
+
+    def bounded(nvars, deg):
+        count = math.comb(nvars - 1 + deg, deg)
+        assert count <= veronese_module.AMBIENT_CAP, f"enumerated {count} monomials"
+        return enumerate_monomials(nvars, deg)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("relations computed on an ambient past the cap")
+
+    monkeypatch.setattr(veronese_module, "monomials_of_degree", bounded)
+    monkeypatch.setattr(cli_module, "image_linear_relations", unreachable)
+    assert main(["relations", "-n", "2", "-d", degrees]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage ambient ") and err.count("\n") == 1, err

@@ -55,6 +55,15 @@ def test_composite_veronese_rejects_huge_ambient():
         composite_veronese(2, [2, 2], cap=5)
 
 
+def test_composite_veronese_default_cap_admits_only_affordable_kernels():
+    # Ambient 55 (the largest chain the benchmark ranks) passes; ambient
+    # 53,130, whose relation kernel would rank a 53,140 x 53,130 matrix,
+    # does not.
+    assert composite_veronese(4, [2, 2]).ambient == 55
+    with pytest.raises(AmbientTooLarge, match="stage ambient 53130 exceeds the cap 200"):
+        composite_veronese(2, [5, 20])
+
+
 def test_composite_veronese_rejects_bad_input():
     with pytest.raises(ValueError):
         composite_veronese(1, [2])
@@ -386,3 +395,11 @@ def test_power_independence_rejects_bad_instances():
 def test_power_threshold_scan_rejects_bad_input(nvars, count, form_degree, power, message):
     with pytest.raises(ValueError, match=message):
         power_threshold_scan(nvars, count, form_degree, trials=3, seed=8, power=power)
+
+
+@pytest.mark.parametrize("nvars, form_degree, named", [(0, 1, "vars=0: "), (2, -1, "form degree=-1: ")])
+def test_power_threshold_scan_names_bad_vars_and_form_degree(nvars, form_degree, named):
+    # Checked before any monomial is listed, so the error names the input
+    # as `power-indep` spells it.
+    with pytest.raises(ValueError, match="^" + named):
+        power_threshold_scan(nvars, 2, form_degree, trials=3, seed=8)
