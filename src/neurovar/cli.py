@@ -273,7 +273,7 @@ def cmd_power_indep(args) -> int:
 def cmd_relations(args) -> int:
     seed = _resolve_seed(args)
     cv = composite_veronese(args.nvars, _int_list(args.degrees))
-    basis = image_linear_relations(cv, oversample=args.oversample, seed=seed)
+    basis = image_linear_relations(cv, seed=seed)
     record = {
         "nvars": args.nvars,
         "degrees": _int_list(args.degrees),
@@ -313,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     sc = subs.add_parser("scan", help="exhaustive scan over bounded architectures")
-    sc.add_argument("--depths", default="2,3", help="comma-separated depths L")
-    sc.add_argument("--min-width", type=int, default=1)
-    sc.add_argument("--max-width", type=int, default=4)
-    sc.add_argument("--max-out", type=int, default=2, help="output width bound")
-    sc.add_argument("--min-degree", type=int, default=2)
-    sc.add_argument("--max-degree", type=int, default=4)
-    sc.add_argument("--max-free", type=int, default=64, help="free-weight pre-filter")
-    sc.add_argument("--max-ambient", type=int, default=20_000, help="ambient pre-filter")
+    sc.add_argument("--depths", default=",".join(map(str, ScanSpec.depths)), help="comma-separated depths L")
+    sc.add_argument("--min-width", type=int, default=ScanSpec.min_width)
+    sc.add_argument("--max-width", type=int, default=ScanSpec.max_width)
+    sc.add_argument("--max-out", type=int, default=ScanSpec.max_out_width, help="output width bound")
+    sc.add_argument("--min-degree", type=int, default=ScanSpec.min_degree)
+    sc.add_argument("--max-degree", type=int, default=ScanSpec.max_degree)
+    sc.add_argument("--max-free", type=int, default=ScanSpec.max_free, help="free-weight pre-filter")
+    sc.add_argument("--max-ambient", type=int, default=ScanSpec.max_ambient, help="ambient pre-filter")
     _add_sampling_args(sc)
     sc.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     sc.add_argument("--out", default=None)
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     rel = subs.add_parser("relations", help="linear relations on a composite Veronese image")
     rel.add_argument("-n", "--nvars", type=int, required=True, help="source variable count")
     rel.add_argument("-d", "--degrees", required=True, help="comma-separated stage degrees")
-    rel.add_argument("--oversample", type=int, default=None)
     rel.add_argument("--seed", type=int, default=None)
     _add_output_args(rel)
     rel.set_defaults(func=cmd_relations)

@@ -50,11 +50,11 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def random_prime(seed: int, lo: int = PRIME_LO, hi: int = PRIME_HI) -> int:
-    """Draw a uniform-ish random prime in [lo, hi), deterministically from seed."""
+def random_prime(seed: int) -> int:
+    """Draw a uniform-ish random prime in [PRIME_LO, PRIME_HI), deterministically from seed."""
     rng = random.Random(seed)
     while True:
-        candidate = rng.randrange(lo, hi) | 1
+        candidate = rng.randrange(PRIME_LO, PRIME_HI) | 1
         if is_probable_prime(candidate):
             return candidate
 

@@ -8,13 +8,15 @@ Zero coefficients are never stored, so two polynomials are equal exactly when
 their term maps are equal.  Monomials are compared lexicographically on the
 exponent tuple (x0 before x1 before ...), which for a fixed total degree gives
 the order [x^d, x^(d-1)y, ..., y^d] used everywhere in this package for
-coefficient indexing.
+coefficient indexing.  Products and powers serve the Jacobian's value and
+tangent passes; the Veronese lab only lists monomials and holds forms here,
+and evaluates them at points itself.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .domains import RATIONALS
 
@@ -182,24 +184,6 @@ class SparsePoly:
         """Terms in canonical (lexicographically descending) order."""
         return sorted(self.terms.items(), reverse=True)
 
-    def eval(self, point):
-        """Evaluate at a full assignment (dict name->value or sequence by index)."""
-        dom = self.ring.domain
-        if isinstance(point, Mapping):
-            values = [point[n] for n in self.ring.names]
-        else:
-            values = list(point)
-            if len(values) != self.ring.nvars:
-                raise ValueError("point length does not match variable count")
-        total = dom.zero
-        for m, c in self.terms.items():
-            term = c
-            for e, v in zip(m, values):
-                if e:
-                    term = dom.mul(term, _power(dom, v, e))
-            total = dom.add(total, term)
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -213,18 +197,6 @@ class SparsePoly:
             mono = "*".join(factors) if factors else "1"
             parts.append(f"{c}*{mono}" if factors else f"{c}")
         return " + ".join(parts)
-
-
-def _power(dom, value, e: int):
-    """Repeated-squaring power of a domain element."""
-    result = dom.one
-    base = value
-    while e:
-        if e & 1:
-            result = dom.mul(result, base)
-        base = dom.mul(base, base)
-        e >>= 1
-    return result
 
 
 def poly_pow(p: SparsePoly, e: int) -> SparsePoly:

@@ -323,12 +323,26 @@ def generic_rank(
     every sampled rank is a lower bound on the dimension, so no later trial
     can exceed a rank that meets a proven upper bound, and the witness is
     the first point that reached the best rank either way.
+
+    A trial reads low only where a rank-`cap` minor vanishes.  Each output
+    coefficient has weight degree deg_c = f_L (f_1 = 1, f_t = 1 + d_{t-1} f_{t-1}),
+    so cleared of its pivot denominators that minor has degree cap*(2*deg_c - 1),
+    and by Schwartz-Zippel a trial over F_p reads low with probability at most
+    that over p.  A prime that makes this bound 1/2 or more raises ValueError.
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
     if domain is None:
         domain = auto_prime_field(seed)
     cap = min(gmap.domain_dim, gmap.target_dim, dim_upper_bound(gmap.arch))
+    if isinstance(domain, PrimeField):
+        deg_c = 1
+        for d in gmap.arch.degrees:
+            deg_c = 1 + d * deg_c
+        degree = cap * (2 * deg_c - 1)
+        if 2 * degree >= domain.p:
+            raise ValueError(f"modulus {domain.p} is too small to sample {gmap.arch.label()}: "
+                             f"the false-low bound per trial is {degree}/{domain.p} >= 1/2")
     best_rank = 0
     witness = None
     failures = 0

@@ -2,23 +2,28 @@
 
 A composite Veronese is the chain of power maps nu_{e_m} o ... o nu_{e_1},
 realized stage by stage as "all monomials of degree e_t in the previous
-stage's coordinates".  The linear forms vanishing on its image are computed
-by evaluating the chain at more random points than the ambient has
-coordinates and taking the kernel of the evaluation matrix with
-`rank.nullspace`, the same echelon routine that computes every rank; only the
-linear stratum of the ideal is needed, so no elimination theory is involved.
+stage's coordinates".  Every question this module answers is about forms of
+one known degree N, and such a form is decided by its values at the
+principal lattice of order N (`lattice_points`): the form is zero exactly
+when it vanishes there.  So nothing is sampled beyond need and no power of a
+polynomial is expanded.
+
+The linear forms vanishing on a composite image are the kernel, by
+`rank.nullspace`, of the chain evaluated at the lattice of degree
+D = prod(e_t): a linear form in the final coordinates pulls back to a form of
+degree D in the source variables.
 
 Secant dimensions of single Veronese varieties reuse the network rank
 machinery: the width-(n, s, 1) depth-2 architecture with activation degree d
 parameterizes exactly the s-term power sums of linear forms, so its sampled
 Jacobian rank is the projective dimension of the secant variety.
 
-Independence of the powers p_1^r, ..., p_k^r is first certified by
-evaluation, without expanding any power: the k x k matrix of values
-p_i(x_j)^r at k points modulo a prime is a linear image of the powers'
-coefficient rows, so rank k there proves the powers independent.  Only when
-that matrix is singular (the powers are dependent, or the points were
-unlucky) are the powers expanded and their coefficient rows ranked exactly.
+Independence of the powers p_1^r, ..., p_k^r is first certified at k points
+drawn from the instance's seed: the k x k matrix of values p_i(x_j)^r modulo
+a prime is a linear image of the powers' coefficient rows, so rank k there
+proves the powers independent.  When that matrix is singular, the exact rank
+of the values p_i(x)^r at the lattice of degree s*r is the rank of the
+powers.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .domains import RATIONALS, Rationals
+from .domains import RATIONALS
 from .errors import AmbientTooLarge, ProportionalPair
 from .network import gauge_fix, validate
 from .poly import Monomial, Ring, SparsePoly, monomials_of_degree
@@ -43,11 +48,35 @@ from .rank import (
     nullspace,
 )
 
-# The relation kernel ranks an (ambient + 10) x ambient matrix of fractions,
-# so its time grows about as ambient^4: `image_linear_relations` took 0.5 s at
-# ambient 66, 4.7 s at 120, 11.8 s at 153 and 24.1 s at 190 (2-core x86-64,
-# Python 3.11).  The largest ambient in the tests and the benchmark is 55.
+# A stage of more coordinates than this is refused before it is enumerated.
+# `image_linear_relations` took 0.14 s at ambient 66, 0.39 s at 120 and 0.49 s
+# at 190, but 16 s for the single degree-99 stage of ambient 100, whose lattice
+# values reach 99^99 (2-core x86-64, Python 3.11).  The largest ambient in the
+# tests and the benchmark is 60.
 AMBIENT_CAP = 200
+
+
+def lattice_points(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """The principal lattice of order `degree`: the point (1, e_1, ..., e_{n-1})
+    for each exponent tuple e of `monomials_of_degree(nvars, degree)`, in that
+    order, so there is one point per monomial of that degree.
+
+    A form f of degree N in n variables that vanishes at these points is zero,
+    over Q and over F_p for every prime p > N.  Write g(y) = f(1, y), of
+    degree <= N in m = n - 1 variables; it vanishes on the points a of
+    Z_{>=0}^m with |a| <= N.  By induction on m and N: for m = 0 or N = 0
+    that is one point and g is a constant.  Otherwise the face |a| = N lies on
+    the hyperplane l(y) = y_1 + ... + y_m - N = 0, where it is the principal
+    lattice of order N in the coordinates y_1..y_{m-1}, so g vanishes on that
+    hyperplane by induction on m and g = l * h with deg h <= N - 1.  At the
+    remaining points 1 <= N - |a| <= N, so l(a) != 0 when p > N, and h
+    vanishes on the lattice of order N - 1, hence h = 0 by induction on N.
+
+    So the square matrix of monomial values at these points is invertible,
+    and the values of degree-N forms at the lattice have the rank of their
+    coefficient vectors.
+    """
+    return [(1,) + e[1:] for e in monomials_of_degree(nvars, degree)]
 
 
 @dataclass(frozen=True)
@@ -69,27 +98,20 @@ class CompositeVeronese:
         """Coordinate count of the final stage."""
         return self.dims[-1]
 
-    def evaluate(self, point, domain):
-        """Map a source point through every stage; exact in the domain."""
+    def evaluate(self, point):
+        """Map a source point of integers or fractions through every stage, exactly."""
         values = list(point)
         if len(values) != self.nvars:
             raise ValueError("point length must equal the source variable count")
         for monos in self.stage_monomials:
-            nxt = []
-            for m in monos:
-                term = domain.one
-                for e, v in zip(m, values):
-                    for _ in range(e):
-                        term = domain.mul(term, v)
-                nxt.append(term)
-            values = nxt
+            values = [math.prod(v ** e for v, e in zip(values, m) if e) for m in monos]
         return values
 
 
-def composite_veronese(nvars: int, degrees, cap: int = AMBIENT_CAP) -> CompositeVeronese:
+def composite_veronese(nvars: int, degrees) -> CompositeVeronese:
     """Build the chain nu_{e_m} o ... o nu_{e_1} on `nvars` source variables.
 
-    Raises AmbientTooLarge when a stage would have more than `cap`
+    Raises AmbientTooLarge when a stage would have more than AMBIENT_CAP
     coordinates, before enumerating that stage's monomials.
     """
     if nvars < 2:
@@ -101,61 +123,38 @@ def composite_veronese(nvars: int, degrees, cap: int = AMBIENT_CAP) -> Composite
     stages = []
     for e in degrees:
         count = math.comb(dims[-1] - 1 + e, e)
-        if count > cap:
-            raise AmbientTooLarge(f"stage ambient {count} exceeds the cap {cap}")
+        if count > AMBIENT_CAP:
+            raise AmbientTooLarge(f"stage ambient {count} exceeds the cap {AMBIENT_CAP}")
         monos = monomials_of_degree(dims[-1], e)
         stages.append(tuple(monos))
         dims.append(len(monos))
     return CompositeVeronese(nvars, degrees, tuple(stages), tuple(dims))
 
 
-def image_linear_relations(
-    cv: CompositeVeronese,
-    oversample: int | None = None,
-    seed: int = DEFAULT_SEED,
-    domain=RATIONALS,
-) -> list[SparsePoly]:
+def image_linear_relations(cv: CompositeVeronese, seed: int = DEFAULT_SEED) -> list[SparsePoly]:
     """Basis of the linear forms vanishing on the image of the composite map.
 
-    Evaluates the chain at `oversample` random source points (default:
-    ambient + 10, and at least ambient + 1) and returns the kernel of the
-    evaluation matrix as linear forms in coordinates z0..z_{ambient-1}.  The
-    kernel is re-verified at fresh random points before returning.
+    The kernel of the chain evaluated at the lattice of degree
+    D = prod(degrees) (`lattice_points`), as linear forms in coordinates
+    z0..z_{ambient-1}: a form c . z vanishes on the image exactly when the
+    degree-D source form c . cv.evaluate(x) is zero.  The basis is the
+    reduced one of `rank.nullspace`, a function of the space alone.  It is
+    re-verified at 50 random points drawn from `seed` before returning.
     """
     ambient = cv.ambient
-    if oversample is None:
-        oversample = ambient + 10
-    if oversample < ambient + 1:
-        raise ValueError("oversample must be at least ambient + 1")
+    rows = [cv.evaluate(x) for x in lattice_points(cv.nvars, math.prod(cv.degrees))]
+    kernel = nullspace(rows, RATIONALS)
+
     rng = random.Random(derive_seed(seed, "relations"))
-    if isinstance(domain, Rationals):
-        def draw():
-            return [domain.from_int(rng.randint(-99, 99)) for _ in range(cv.nvars)]
-    else:
-        def draw():
-            return [domain.sample(rng) for _ in range(cv.nvars)]
-
-    rows = [cv.evaluate(draw(), domain) for _ in range(oversample)]
-    kernel = nullspace(rows, domain)
-
-    ring = Ring([f"z{i}" for i in range(ambient)], domain)
-    basis = []
-    for vec in kernel:
-        terms = {}
-        for i, c in enumerate(vec):
-            if c:
-                exp = [0] * ambient
-                exp[i] = 1
-                terms[tuple(exp)] = c
-        basis.append(SparsePoly(ring, terms))
-
+    cleared, _ = _integer_rows(kernel, RATIONALS)
     for _ in range(50):
-        img = cv.evaluate(draw(), domain)
-        for form in basis:
-            val = form.eval(img)
-            if val:
-                raise AssertionError("computed relation does not vanish on the image")
-    return basis
+        img = cv.evaluate([rng.randint(-99, 99) for _ in range(cv.nvars)])
+        if any(sum(map(int.__mul__, vec, img)) for vec in cleared):
+            raise AssertionError("computed relation does not vanish on the image")
+
+    ring = Ring([f"z{i}" for i in range(ambient)], RATIONALS)
+    unit = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
+    return [SparsePoly(ring, {unit[i]: c for i, c in enumerate(vec) if c}) for vec in kernel]
 
 
 def empirical_secant_dim(
@@ -211,53 +210,40 @@ def _certificate_points(inst: PowerInstance, nvars: int, p: int) -> list[list[in
     return [[rng.randrange(p) for _ in range(nvars)] for _ in inst.forms]
 
 
-def _powers_certified(inst: PowerInstance, monos, domain) -> bool:
-    """Whether the values p_i(x_j)^r at k points form a nonsingular matrix
-    modulo a prime: the domain's own prime, or CERTIFICATE_FIELD over Q.
-
-    Column i is the matrix of degree-s*r monomial values at the points
-    times the coefficient vector of p_i^r, so rank k proves the powers
-    independent over F_p.  Over Q each form is first scaled to integer
-    coefficients, which scales its power and keeps (in)dependence; a
-    relation among integer powers clears to one with coprime integer
-    weights, which survives reduction mod q.
-    """
-    rows, p = _integer_rows([[f.terms.get(m, domain.zero) for m in monos] for f in inst.forms],
-                            domain)
-    field = domain if p else CERTIFICATE_FIELD
-    if not p:
-        p = field.p
-        rows = [[c % p for c in row] for row in rows]
-    r = inst.power
+def _power_values(rows, monos, points, r: int, p: int) -> list[list[int]]:
+    """The values p_i(x)^r, one row per point x and one column per form, of
+    the forms with integer coefficient rows over `monos`: modulo p, or exactly
+    when p = 0."""
+    mod = p or None
     values = []
-    for x in _certificate_points(inst, len(monos[0]), p):
-        mono_vals = []
-        for m in monos:
-            v = 1
-            for xi, e in zip(x, m):
-                if e:
-                    v = v * pow(xi, e, p) % p
-            mono_vals.append(v)
-        values.append([pow(sum(map(int.__mul__, cs, mono_vals)) % p, r, p) for cs in rows])
-    return exact_rank(values, field) == len(inst.forms)
+    for x in points:
+        mono_vals = [math.prod(pow(v, e, mod) for v, e in zip(x, m) if e) for m in monos]
+        values.append([pow(sum(map(int.__mul__, cs, mono_vals)), r, mod) for cs in rows])
+    return values
 
 
 def power_independence(inst: PowerInstance) -> tuple[bool, int]:
     """Whether p_1^r, ..., p_k^r are linearly independent, with the exact rank.
 
-    The forms must be homogeneous of one degree s, and r >= 0.  Raises
-    ProportionalPair if two input forms are linearly dependent (the instance
-    precondition), detected through 2x2 minors of their coefficient vectors.
+    The forms must be homogeneous of one degree s, and r >= 0; over F_p the
+    prime must exceed s*r (ValueError otherwise).  Raises ProportionalPair if
+    two input forms are linearly dependent (the instance precondition),
+    detected through 2x2 minors of their coefficient vectors.  Over Q each
+    form is first scaled to integer coefficients, which scales its power and
+    keeps (in)dependence.
 
     Certificate first: the forms are evaluated at k points drawn from the
-    instance's own seed, and each value is raised to r modulo a prime.  Rank
-    k of that k x k matrix proves independence and returns (True, k) without
-    expanding a power.  Otherwise (dependent powers, or points on which some
-    nonzero combination happens to vanish) every p_i^r is expanded and the
-    k x T matrix of its degree-s*r coefficients is ranked exactly.
+    instance's own seed, and each value is raised to r modulo a prime (the
+    forms' own, or CERTIFICATE_FIELD over Q, where a relation among integer
+    powers clears to one with coprime weights that survives reduction).  Rank
+    k of that k x k matrix proves independence and returns (True, k).
+    Otherwise (dependent powers, or points on which some nonzero combination
+    happens to vanish) the rank of the values p_i(x)^r at the lattice of
+    degree s*r, exact over Q, is the rank of the powers (`lattice_points`).
     """
-    if inst.power < 0:
-        raise ValueError(f"power must be >= 0, got {inst.power}")
+    r = inst.power
+    if r < 0:
+        raise ValueError(f"power must be >= 0, got {r}")
     forms = inst.forms
     if not forms:
         return True, 0
@@ -271,14 +257,15 @@ def power_independence(inst: PowerInstance) -> tuple[bool, int]:
         for j in range(i + 1, len(forms)):
             if _proportional(forms[i].terms, forms[j].terms, monos, domain):
                 raise ProportionalPair(i, j)
-    if _powers_certified(inst, monos, domain):
+    rows, p = _integer_rows([[f.terms.get(m, domain.zero) for m in monos] for f in forms], domain)
+    if p and p <= s * r:
+        raise ValueError(f"power_independence over F_{p} needs p > s*r = {s * r}")
+    field = domain if p else CERTIFICATE_FIELD
+    q = field.p
+    certificate = _power_values(rows, monos, _certificate_points(inst, ring.nvars, q), r, q)
+    if exact_rank(certificate, field) == len(forms):
         return True, len(forms)
-    target = monomials_of_degree(ring.nvars, s * inst.power)
-    rows = []
-    for p in forms:
-        q = p ** inst.power
-        rows.append([q.terms.get(m, domain.zero) for m in target])
-    rank = exact_rank(rows, domain)
+    rank = exact_rank(_power_values(rows, monos, lattice_points(ring.nvars, s * r), r, p), domain)
     return rank == len(forms), rank
 
 

@@ -4,11 +4,13 @@
 inputs ``x{i}`` and the free weights ``w{layer}_{row}_{col}`` (gauged
 positions are 1) and splits each output by x-monomial, so every coefficient
 is an exact polynomial in the free weights.  The full map is the same builder
-on the ungauged map (`ungauged`).  Formal partial derivatives (`partial`) and
-the quotient rule then give the gauged Jacobian that `rank.jacobian_at`
-evaluates numerically.  The expansion grows quickly with depth and degree, so
-only small architectures are affordable.
+on the ungauged map (`ungauged`).  Formal partial derivatives (`partial`),
+evaluation (`evaluate`) and the quotient rule then give the gauged Jacobian
+that `rank.jacobian_at` evaluates numerically.  The expansion grows quickly
+with depth and degree, so only small architectures are affordable.
 """
+
+from typing import Mapping
 
 from neurovar.network import gauge_fix
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree
@@ -99,3 +101,34 @@ def partial(poly, var):
         elif dm in out:
             del out[dm]
     return SparsePoly(poly.ring, out)
+
+
+def evaluate(poly, point):
+    """Evaluate at a full assignment (dict name->value or sequence by index)."""
+    dom = poly.ring.domain
+    if isinstance(point, Mapping):
+        values = [point[n] for n in poly.ring.names]
+    else:
+        values = list(point)
+        if len(values) != poly.ring.nvars:
+            raise ValueError("point length does not match variable count")
+    total = dom.zero
+    for m, c in poly.terms.items():
+        term = c
+        for e, v in zip(m, values):
+            if e:
+                term = dom.mul(term, _power(dom, v, e))
+        total = dom.add(total, term)
+    return total
+
+
+def _power(dom, value, e):
+    """Repeated-squaring power of a domain element."""
+    result = dom.one
+    base = value
+    while e:
+        if e & 1:
+            result = dom.mul(result, base)
+        base = dom.mul(base, base)
+        e >>= 1
+    return result

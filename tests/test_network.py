@@ -11,6 +11,7 @@ from neurovar.errors import DegreeBelowTwo, LengthMismatch, WidthZero
 from neurovar.network import gauge_fix, last_column_gauge, validate
 from neurovar.poly import Ring, monomials_of_degree, poly_pow
 from oracle import (
+    evaluate,
     forward_layers,
     network_ring,
     symbolic_map,
@@ -223,7 +224,7 @@ def test_two_path_consistency():
     monos = monomials_of_degree(arch.n_in, arch.total_degree)
     for ell, vec in enumerate(vectors):
         direct = [outputs[ell].terms.get(m, Fraction(0)) for m in monos]
-        specialized = [s.eval(values) for s in vec]
+        specialized = [evaluate(s, values) for s in vec]
         assert direct == specialized
 
 

@@ -9,7 +9,7 @@ from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import PivotVanishes, SamplingExhausted
 from neurovar.network import gauge_fix, validate
 from neurovar.poly import Ring, poly_pow
-from oracle import partial, symbolic_map
+from oracle import evaluate, partial, symbolic_map
 from support import reference_rank, tctc_gauge_mask
 
 import neurovar.rank as rank_module
@@ -339,6 +339,30 @@ def _count_jacobians(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "widths, degrees, p, degree",
+    [((2, 2, 1), (2,), 2, 10), ((2, 2, 1), (2,), 19, 10), ((2, 3, 2, 1), (4, 3), 3, 248)],
+)
+def test_generic_rank_refuses_primes_too_small_to_sample_with(widths, degrees, p, degree):
+    # deg_c is 3 and 16, the caps 2 and 8: a rank-cap minor has degree
+    # cap * (2 * deg_c - 1), and p <= 2 * degree leaves a false-low bound of 1/2 or more.
+    gmap = gauge_fix(validate(widths, degrees))
+    with pytest.raises(ValueError, match=f"^modulus {p} is too small .* {degree}/{p} >= 1/2$"):
+        generic_rank(gmap, tries=10, seed=1729, domain=PrimeField(p))
+
+
+@pytest.mark.parametrize("widths, degrees, dim", [((2, 2, 1), (2,), 2), ((2, 3, 2, 1), (4, 3), 8)])
+def test_generic_rank_samples_large_primes_as_before(widths, degrees, dim):
+    gmap = gauge_fix(validate(widths, degrees))
+    assert generic_rank(gmap, tries=10, seed=1729)[0] == dim
+    assert generic_rank(gmap, tries=10, seed=1729, domain=CERTIFICATE_FIELD)[0] == dim
+
+
+def test_generic_rank_accepts_the_first_prime_past_the_bound():
+    # (2,2,1)/(2) has degree 10, so 23 is the least prime with bound below 1/2.
+    generic_rank(gauge_fix(validate((2, 2, 1), (2,))), tries=1, seed=1729, domain=PrimeField(23))
+
+
+@pytest.mark.parametrize(
     "widths,degrees,rank,draws",
     [
         ((4, 1, 4, 2), (3, 4), 3, 1),  # bottleneck: meets the cut bound at once
@@ -444,13 +468,13 @@ def symbolic_jacobian(gmap, point):
     vectors, ring = symbolic_map(gmap)
     rows = []
     for den, *nums in vectors:
-        den_v = den.eval(point)
+        den_v = evaluate(den, point)
         for num in nums:
-            num_v = num.eval(point)
+            num_v = evaluate(num, point)
             row = []
             for theta in ring.names:
-                dnum = partial(num, theta).eval(point)
-                dden = partial(den, theta).eval(point)
+                dnum = evaluate(partial(num, theta), point)
+                dden = evaluate(partial(den, theta), point)
                 row.append((den_v * dnum - num_v * dden) / (den_v * den_v))
             rows.append(row)
     return rows

@@ -4,6 +4,9 @@ import concurrent.futures
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -380,10 +383,15 @@ def test_cli_scan_respects_worker_env():
         (["scan", "--depths", ""], {}),
         (["power-indep", "--vars", "0", "--count", "2", "--form-degree", "1"], {}),
         (["power-indep", "--vars", "2", "--count", "2", "--form-degree", "-1"], {}),
+        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "2"], {}),
+        (["dims", "-n", "2,3,2,1", "-d", "4,3", "--prime", "3"], {}),
+        (["scan", "--depths", "2", "--max-width", "2", "--prime", "5"], {}),
+        (["veronese-secant", "-n", "3", "-d", "4", "-s", "5", "--prime", "101"], {}),
     ],
     ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
          "check-depth-1", "seed-abc", "power-vars-1", "power-form-degree-0", "power-count-0",
-         "power-negative", "depths-empty", "power-vars-0", "power-form-degree-negative"],
+         "power-negative", "depths-empty", "power-vars-0", "power-form-degree-negative",
+         "dims-prime-2", "dims-prime-3", "scan-prime-5", "secant-prime-101"],
 )
 def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)
@@ -393,8 +401,10 @@ def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    # A bad environment variable is named in its error.
+    # A bad environment variable or --prime value is named in its error.
     assert all(key in err for key in env), err
+    if "--prime" in argv:
+        assert argv[argv.index("--prime") + 1] in err, err
 
 
 @pytest.mark.parametrize("degrees", ["60,60", "5,20"])
@@ -416,3 +426,29 @@ def test_cli_relations_refuses_ambient_past_cap(degrees, monkeypatch, capsys):
     assert main(["relations", "-n", "2", "-d", degrees]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: stage ambient ") and err.count("\n") == 1, err
+
+
+def test_cli_scan_defaults_are_scan_spec_defaults(monkeypatch, capsys):
+    monkeypatch.delenv("NV_SEED", raising=False)
+    specs = []
+    monkeypatch.setattr(cli_module, "scan", lambda spec: specs.append(spec) or [])
+    assert main(["scan"]) == 0
+    assert specs == [ScanSpec()]
+
+
+def _readme_cli_examples():
+    """The `neurovar ...` lines of the README's CLI code block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme, re.M | re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("neurovar ")]
+
+
+def test_readme_cli_examples_run():
+    # Every example but the full scan, so the documented flags stay real.
+    examples = [argv for argv in _readme_cli_examples() if argv[0] != "scan"]
+    assert {argv[0] for argv in examples} == {
+        "dims", "check", "veronese-secant", "power-indep", "relations"
+    }
+    for argv in examples:
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, (argv, proc.stderr)

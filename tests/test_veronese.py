@@ -11,7 +11,7 @@ import neurovar.veronese as veronese_module
 from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import AmbientTooLarge, ProportionalPair
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_pow
-from neurovar.rank import CERTIFICATE_FIELD, auto_prime_field
+from neurovar.rank import CERTIFICATE_FIELD, _echelon, auto_prime_field
 from neurovar.theory import ah_secant_defective, expected_secant_dim
 from neurovar.veronese import (
     PowerInstance,
@@ -19,9 +19,11 @@ from neurovar.veronese import (
     composite_veronese,
     empirical_secant_dim,
     image_linear_relations,
+    lattice_points,
     power_independence,
     power_threshold_scan,
 )
+from oracle import evaluate
 from support import reference_rank
 
 
@@ -30,14 +32,14 @@ def test_composite_veronese_conic():
     assert cv.dims == (2, 3)
     assert cv.stage_monomials[0] == ((2, 0), (1, 1), (0, 2))
     t, s = Fraction(3), Fraction(5)
-    assert cv.evaluate([t, s], RATIONALS) == [t * t, t * s, s * s]
+    assert cv.evaluate([t, s]) == [t * t, t * s, s * s]
 
 
 def test_composite_veronese_two_stages():
     cv = composite_veronese(2, [2, 2])
     assert cv.dims == (2, 3, 6)
     point = [Fraction(2), Fraction(7)]
-    values = cv.evaluate(point, RATIONALS)
+    values = cv.evaluate(point)
     z = [Fraction(4), Fraction(14), Fraction(49)]
     assert values == [
         z[0] * z[0], z[0] * z[1], z[0] * z[2], z[1] * z[1], z[1] * z[2], z[2] * z[2]
@@ -51,8 +53,9 @@ def test_composite_veronese_plane_quadrics():
 
 
 def test_composite_veronese_rejects_huge_ambient():
-    with pytest.raises(AmbientTooLarge):
-        composite_veronese(2, [2, 2], cap=5)
+    # Stage 2 would have binom(10, 5) = 252 coordinates, past the cap of 200.
+    with pytest.raises(AmbientTooLarge, match="stage ambient 252 exceeds the cap 200"):
+        composite_veronese(3, [2, 5])
 
 
 def test_composite_veronese_default_cap_admits_only_affordable_kernels():
@@ -121,15 +124,57 @@ def test_image_relations_vanish_on_fresh_points():
     rng = random.Random(1000)
     for _ in range(50):
         pt = [Fraction(rng.randint(-40, 40)) for _ in range(3)]
-        img = cv.evaluate(pt, RATIONALS)
+        img = cv.evaluate(pt)
         for form in basis:
-            assert form.eval(img) == 0
+            assert evaluate(form, img) == 0
 
 
-def test_image_relations_oversample_guard():
-    cv = composite_veronese(2, [2])
-    with pytest.raises(ValueError):
-        image_linear_relations(cv, oversample=3, seed=5)
+# -- the principal lattice -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_lattice_points_are_unisolvent(nvars):
+    # The degree-N monomials evaluated at the lattice of order N form a
+    # square matrix of full rank, over Q (Bareiss on the integers) and
+    # modulo 2^61 - 1.
+    for degree in range(9):
+        monos = monomials_of_degree(nvars, degree)
+        points = lattice_points(nvars, degree)
+        assert len(points) == len(monos) and all(x[0] == 1 for x in points)
+        matrix = [[math.prod(v ** e for v, e in zip(x, m)) for m in monos] for x in points]
+        assert len(_echelon([row[:] for row in matrix], 0)) == len(monos), (nvars, degree)
+        assert reference_rank(matrix, CERTIFICATE_FIELD.p)[0] == len(monos), (nvars, degree)
+
+
+def _chains(limit):
+    """Every chain (nvars, degrees) whose stages all have at most `limit`
+    coordinates."""
+    found = []
+
+    def extend(nvars, dim, degrees):
+        if degrees:
+            found.append((nvars, tuple(degrees)))
+        e = 2
+        while math.comb(dim - 1 + e, e) <= limit:
+            extend(nvars, math.comb(dim - 1 + e, e), degrees + [e])
+            e += 1
+
+    nvars = 2
+    while math.comb(nvars + 1, 2) <= limit:
+        extend(nvars, nvars, [])
+        nvars += 1
+    return found
+
+
+def test_image_relations_kernel_dimension_over_chain_grid():
+    # The image spans every degree-D source form, so the relations number
+    # ambient - binom(nvars - 1 + D, nvars - 1).
+    chains = _chains(60)
+    assert len(chains) == 106 and sum(len(ds) > 1 for _, ds in chains) == 28
+    for nvars, degrees in chains:
+        cv = composite_veronese(nvars, degrees)
+        forms = math.comb(nvars - 1 + math.prod(degrees), nvars - 1)
+        assert len(image_linear_relations(cv, seed=3)) == cv.ambient - forms, (nvars, degrees)
 
 
 # -- secant dimensions -------------------------------------------------------------
@@ -336,11 +381,9 @@ def test_power_independence_matches_expansion(monkeypatch):
         expected = _expanded_rank(forms, r)
         calls.clear()
         assert power_independence(PowerInstance(forms, r)) == (expected == len(forms), expected)
-        if expected == len(forms):
-            assert not calls  # the certificate alone proved independence
-        else:
+        assert not calls  # the certificate or the lattice decided, never an expansion
+        if expected < len(forms):
             dependent += 1
-            assert calls  # the expansion decided
     # Powers below k - 1 of binary linear forms, and five binary linear forms
     # at r = 2 (three monomials), are among the dependent cases.
     assert dependent >= 10
@@ -356,7 +399,7 @@ def test_power_independence_falls_back_on_repeated_points(monkeypatch):
         expected = _expanded_rank(forms, r)
         calls.clear()
         assert power_independence(PowerInstance(forms, r)) == (expected == len(forms), expected)
-        assert calls  # one repeated point certifies nothing for k >= 2
+        assert not calls  # one repeated point certifies nothing; the lattice decides
 
 
 def test_power_independence_certificate_with_denominator_q(monkeypatch):
@@ -369,6 +412,33 @@ def test_power_independence_certificate_with_denominator_q(monkeypatch):
     assert _expanded_rank(forms, 2) == 3
     assert power_independence(PowerInstance(forms, 2)) == (True, 3)
     assert not calls
+
+
+def test_lab_never_multiplies_or_powers_polynomials(monkeypatch):
+    # Relations and dependent powers are decided by evaluation alone.
+    cases = [(forms, r, _expanded_rank(forms, r)) for forms, r in _certificate_cases()]
+    dependent = [(forms, r, rank) for forms, r, rank in cases if rank < len(forms)]
+    assert len(dependent) >= 10
+
+    def refuse(*args):
+        raise AssertionError("a polynomial was multiplied or raised to a power")
+
+    monkeypatch.setattr(poly_module.SparsePoly, "__mul__", refuse)
+    monkeypatch.setattr(poly_module, "poly_pow", refuse)
+    for nvars, degrees in ((2, (2, 2)), (3, (2, 2)), (2, (3, 2)), (2, (2, 2, 2))):
+        image_linear_relations(composite_veronese(nvars, degrees), seed=5)
+    for forms, r, rank in dependent:
+        assert power_independence(PowerInstance(forms, r)) == (False, rank)
+
+
+def test_power_independence_refuses_primes_up_to_s_times_r():
+    # The lattice of degree s*r needs p > s*r; at p = 7 quadrics reach r = 3.
+    ring = Ring(["x", "y"], PrimeField(7))
+    x, y = ring.var("x"), ring.var("y")
+    forms = (x * x, y * y, x * y)
+    assert power_independence(PowerInstance(forms, 3)) == (True, 3)
+    with pytest.raises(ValueError, match=r"F_7 needs p > s\*r = 8"):
+        power_independence(PowerInstance(forms, 4))
 
 
 def test_power_independence_rejects_bad_instances():
