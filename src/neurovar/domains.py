@@ -1,10 +1,12 @@
 """Exact coefficient domains: arbitrary-precision rationals and large prime fields.
 
 All arithmetic in this package routes through one of the two domain objects
-defined here, so no floating point ever enters a computation.  Rational
-coefficients are `fractions.Fraction`; prime-field elements are plain Python
-ints reduced modulo p.  Both are exact, immutable, hashable, and safe to share
-across threads.
+defined here, so no floating point ever enters a computation.  A rational is
+a plain Python int or a `fractions.Fraction`: the field's zero, one and
+integers are ints, so integer computations over Q never build a Fraction,
+and only `inv` (and `sample`, for the reports' witness points) returns one.
+Prime-field elements are plain ints reduced modulo p.  Both are exact,
+immutable, hashable, and safe to share across threads.
 
 Prime fields are a sampling device: evaluating a polynomial identity at a
 uniform point of F_p fails with probability at most (total degree)/p, so with
@@ -60,12 +62,12 @@ def random_prime(seed: int) -> int:
 
 
 class Rationals:
-    """The field of arbitrary-precision rationals."""
+    """The field of arbitrary-precision rationals: ints and Fractions."""
 
     kind = "rational"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -82,8 +84,8 @@ class Rationals:
     def inv(self, a):
         return Fraction(1) / a
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
     def sample(self, rng: random.Random) -> Fraction:
         # Small integers keep fraction-free elimination pivots modest.
@@ -126,7 +128,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in prime field")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def from_int(self, n: int) -> int:
         return n % self.p

@@ -7,7 +7,11 @@ one forward tangent pass per free weight, sharing the cached layer powers:
 if F_t are the layer forms and G_t their activations, a tangent seeded at
 weight (j, u, v) propagates as dF_t[i] = sum_s W_t[i][s]*d_{t-1}*
 F_{t-1}[s]^(d_{t-1}-1)*dF_{t-1}[s].  The quotient rule then yields the
-derivative of every dehomogenized coordinate.  This is the package's only
+derivative of every dehomogenized coordinate c_m/c_0, kept cleared of its
+denominator: the row of output coordinate m is c_0*dc_m - c_m*dc_0, the
+derivative times c_0^2.  Scaling a row by a nonzero constant changes no rank
+of any set of columns, and over Q at an integral point every entry stays an
+int, so no Fraction is built and no pivot coefficient inverted.  This is the package's only
 Jacobian route: the coefficient map is never expanded symbolically, since
 that blows up with depth.  The test suite checks the per-point pass against
 formal derivatives of a symbolic coefficient map on small cases.
@@ -64,8 +68,12 @@ def auto_prime_field(seed: int) -> PrimeField:
 
 def resolve_domain(field: str, prime: int | None, seed: int):
     """The sampling domain of a `field` ("prime" or "rational") choice: Q, the
-    given prime field, or the seed's `auto_prime_field` when `prime` is None."""
+    given prime field, or the seed's `auto_prime_field` when `prime` is None.
+
+    Raises ValueError for a prime given with the rational field."""
     if field == "rational":
+        if prime is not None:
+            raise ValueError(f"--field rational samples over Q and takes no --prime, got {prime}")
         return RATIONALS
     return auto_prime_field(seed) if prime is None else PrimeField(prime)
 
@@ -99,7 +107,7 @@ def _echelon(m: list[list[int]], p: int) -> list[int]:
         prow = m[rank]
         pv = prow[col]
         if p:
-            inv = pow(pv, p - 2, p)
+            inv = pow(pv, -1, p)
             for i in range(rank + 1, nrows):
                 ri = m[i]
                 f = ri[col]
@@ -123,15 +131,15 @@ def _echelon(m: list[list[int]], p: int) -> list[int]:
 
 def _integer_rows(matrix, domain) -> tuple[list[list[int]], int]:
     """Integer copies of the rows and the modulus `_echelon` takes: entries
-    reduced mod p over F_p, denominators cleared row by row over Q (p = 0)."""
+    reduced mod p over F_p; over Q (p = 0) each row times the lcm of its
+    denominators (1 for a row of ints)."""
     if isinstance(domain, PrimeField):
         p = domain.p
         return [[v % p for v in row] for row in matrix], p
     cleared = []
     for row in matrix:
-        denoms = [v.denominator for v in row if isinstance(v, Fraction)]
-        scale = lcm(*denoms) if denoms else 1
-        cleared.append([int(v * scale) for v in row])
+        scale = lcm(*[v.denominator for v in row])
+        cleared.append([v.numerator * (scale // v.denominator) for v in row])
     return cleared, 0
 
 
@@ -169,7 +177,7 @@ def nullspace(rows, domain) -> list[list]:
     ncols = len(m[0])
     pivots = _echelon(m, p)
     scale = m[len(pivots) - 1][pivots[-1]] if pivots and not p else 1
-    invs = [pow(m[r][c], p - 2, p) for r, c in enumerate(pivots)] if p else None
+    invs = [pow(m[r][c], -1, p) for r, c in enumerate(pivots)] if p else None
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
         v = [0] * ncols
@@ -247,8 +255,11 @@ def _tangent_outputs(arch: Architecture, wvals, powers, activated, layer, row, c
 
 @dataclass(frozen=True)
 class JacobianSample:
-    """One exact Jacobian evaluation: rows are the non-pivot coefficient
-    ratios (output-major), columns the free weights in `GaugedMap.free` order."""
+    """One exact Jacobian evaluation: one row per non-pivot coefficient ratio
+    c_m/c_0 (output-major), holding its derivative cleared of the pivot
+    denominator, c_0*dc_m - c_m*dc_0; columns are the free weights in
+    `GaugedMap.free` order.  The ratio Jacobian has the same rank, block by
+    block, since each row differs from it by the nonzero factor c_0^2."""
 
     matrix: list[list]
     rank: int
@@ -257,45 +268,43 @@ class JacobianSample:
 
 def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
     """Exact Jacobian of the gauged map at a point assigning the free weights
-    in `gmap.free` order; its columns follow that order.
+    in `gmap.free` order; its columns follow that order and its rows are
+    cleared of the pivot denominators (`JacobianSample`).
 
-    Raises PivotVanishes when any output's pivot coefficient (index 0, the
-    coefficient of x0^D) is zero at the point; callers resample.
+    Integral values of the point (a Fraction n/1 over Q) enter the passes as
+    ints.  Raises PivotVanishes when any output's pivot coefficient (index 0,
+    the coefficient of x0^D) is zero at the point; callers resample.
     """
     arch = gmap.arch
     ring = Ring([f"x{i}" for i in range(arch.n_in)], domain)
-    wvals = gmap.weight_matrices(point, domain.one)
+    values = [v.numerator if v.denominator == 1 else v for v in point]
+    wvals = gmap.weight_matrices(values, domain.one)
     outputs, powers, activated = _forward_cached(arch, wvals, ring)
 
     monos = monomials_of_degree(arch.n_in, arch.total_degree)
     zero = domain.zero
     coeffs = []
-    piv_inv2 = []
     for out in outputs:
         vec = [out.terms.get(m, zero) for m in monos]
         if not vec[0]:
             raise PivotVanishes(tuple(point))
         coeffs.append(vec)
-        inv = domain.inv(vec[0])
-        piv_inv2.append(domain.mul(inv, inv))
 
+    p = domain.p if isinstance(domain, PrimeField) else 0
     nrows = arch.n_out * (len(monos) - 1)
     ncols = gmap.domain_dim
     rows = [[zero] * ncols for _ in range(nrows)]
-    mul = domain.mul
-    sub = domain.sub
 
     for j, (layer, row, col) in enumerate(gmap.free):
         douts = _tangent_outputs(arch, wvals, powers, activated, layer, row, col, ring)
         r = 0
         for ell in range(arch.n_out):
-            dvec = [douts[ell].terms.get(m, zero) for m in monos]
+            dterms = douts[ell].terms
             cvec = coeffs[ell]
-            cp, dcp = cvec[0], dvec[0]
-            inv2 = piv_inv2[ell]
+            c0, dc0 = cvec[0], dterms.get(monos[0], zero)
             for mi in range(1, len(monos)):
-                num = sub(mul(cp, dvec[mi]), mul(cvec[mi], dcp))
-                rows[r][j] = mul(num, inv2)
+                num = c0 * dterms.get(monos[mi], zero) - cvec[mi] * dc0
+                rows[r][j] = num % p if p else num
                 r += 1
 
     rank = exact_rank(rows, domain) if nrows else 0
@@ -326,9 +335,10 @@ def generic_rank(
 
     A trial reads low only where a rank-`cap` minor vanishes.  Each output
     coefficient has weight degree deg_c = f_L (f_1 = 1, f_t = 1 + d_{t-1} f_{t-1}),
-    so cleared of its pivot denominators that minor has degree cap*(2*deg_c - 1),
-    and by Schwartz-Zippel a trial over F_p reads low with probability at most
-    that over p.  A prime that makes this bound 1/2 or more raises ValueError.
+    so each cleared entry c_0*dc_m - c_m*dc_0 has degree 2*deg_c - 1, that minor
+    has degree cap*(2*deg_c - 1), and by Schwartz-Zippel a trial over F_p reads
+    low with probability at most that over p.  A prime that makes this bound
+    1/2 or more raises ValueError.
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")

@@ -2,16 +2,18 @@
 
 A composite Veronese is the chain of power maps nu_{e_m} o ... o nu_{e_1},
 realized stage by stage as "all monomials of degree e_t in the previous
-stage's coordinates".  Every question this module answers is about forms of
-one known degree N, and such a form is decided by its values at the
-principal lattice of order N (`lattice_points`): the form is zero exactly
-when it vanishes there.  So nothing is sampled beyond need and no power of a
-polynomial is expanded.
+stage's coordinates".  It is a monomial map with coefficients 1: every final
+coordinate is one source monomial x^E of degree D = prod(e_t).  A linear form
+in the final coordinates pulls back to sum_E (sum of its coefficients on the
+coordinates of exponent E) x^E, so it vanishes on the image exactly when each
+of those sums is zero.  The relations are therefore read off the exponents,
+with no elimination: z_f - z_c for each coordinate f that repeats the
+exponent of an earlier coordinate c.
 
-The linear forms vanishing on a composite image are the kernel, by
-`rank.nullspace`, of the chain evaluated at the lattice of degree
-D = prod(e_t): a linear form in the final coordinates pulls back to a form of
-degree D in the source variables.
+Power independence is a question about forms of one known degree N, and such
+a form is decided by its values at the principal lattice of order N
+(`lattice_points`): the form is zero exactly when it vanishes there.  So
+nothing is sampled beyond need and no power of a polynomial is expanded.
 
 Secant dimensions of single Veronese varieties reuse the network rank
 machinery: the width-(n, s, 1) depth-2 architecture with activation degree d
@@ -45,14 +47,14 @@ from .rank import (
     derive_seed,
     exact_rank,
     generic_rank,
-    nullspace,
 )
 
-# A stage of more coordinates than this is refused before it is enumerated.
-# `image_linear_relations` took 0.14 s at ambient 66, 0.39 s at 120 and 0.49 s
-# at 190, but 16 s for the single degree-99 stage of ambient 100, whose lattice
-# values reach 99^99 (2-core x86-64, Python 3.11).  The largest ambient in the
-# tests and the benchmark is 60.
+# A stage of more coordinates than this is refused before it is enumerated:
+# stage sizes binom(n - 1 + e, e) compound along a chain (53,130 for a
+# degree-20 stage on 5 coordinates).  Up to the cap the relations are cheap;
+# read off the source exponents they took 0.08 s for the single degree-199
+# stage of ambient 200 and 0.07 s for (5; 2, 2) of ambient 120 (2-core x86-64,
+# Python 3.11).  The largest ambient in the tests and the benchmark is 60.
 AMBIENT_CAP = 200
 
 
@@ -131,30 +133,48 @@ def composite_veronese(nvars: int, degrees) -> CompositeVeronese:
     return CompositeVeronese(nvars, degrees, tuple(stages), tuple(dims))
 
 
+def _source_exponents(cv: CompositeVeronese) -> list[Monomial]:
+    """The source monomial x^E of each final coordinate, as its exponent E."""
+    n = cv.nvars
+    exps = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for monos in cv.stage_monomials:
+        exps = [tuple(sum(a * e[i] for a, e in zip(m, exps) if a) for i in range(n))
+                for m in monos]
+    return exps
+
+
 def image_linear_relations(cv: CompositeVeronese, seed: int = DEFAULT_SEED) -> list[SparsePoly]:
     """Basis of the linear forms vanishing on the image of the composite map.
 
-    The kernel of the chain evaluated at the lattice of degree
-    D = prod(degrees) (`lattice_points`), as linear forms in coordinates
-    z0..z_{ambient-1}: a form c . z vanishes on the image exactly when the
-    degree-D source form c . cv.evaluate(x) is zero.  The basis is the
-    reduced one of `rank.nullspace`, a function of the space alone.  It is
-    re-verified at 50 random points drawn from `seed` before returning.
+    As linear forms in coordinates z0..z_{ambient-1}: z_f - z_c for each
+    coordinate f, in order, whose source monomial (`_source_exponents`)
+    repeats that of an earlier coordinate c, the first of that monomial.
+    A form vanishes on the image exactly when its coefficients sum to zero
+    on every monomial's coordinates, and these relations span those forms.
+    This is the reduced basis that `rank.nullspace` gives for the chain
+    evaluated at the lattice of degree prod(degrees): there the pivot
+    columns are the first coordinates of each monomial, since distinct
+    degree-D monomials are independent on that lattice (`lattice_points`),
+    so the basis is a function of the space alone.  It is re-verified at 50
+    random points drawn from `seed` before returning.
     """
-    ambient = cv.ambient
-    rows = [cv.evaluate(x) for x in lattice_points(cv.nvars, math.prod(cv.degrees))]
-    kernel = nullspace(rows, RATIONALS)
+    first: dict[Monomial, int] = {}
+    relations = []
+    for f, e in enumerate(_source_exponents(cv)):
+        c = first.setdefault(e, f)
+        if c != f:
+            relations.append({c: -1, f: 1})
 
     rng = random.Random(derive_seed(seed, "relations"))
-    cleared, _ = _integer_rows(kernel, RATIONALS)
     for _ in range(50):
         img = cv.evaluate([rng.randint(-99, 99) for _ in range(cv.nvars)])
-        if any(sum(map(int.__mul__, vec, img)) for vec in cleared):
+        if any(sum(a * img[i] for i, a in rel.items()) for rel in relations):
             raise AssertionError("computed relation does not vanish on the image")
 
+    ambient = cv.ambient
     ring = Ring([f"z{i}" for i in range(ambient)], RATIONALS)
     unit = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
-    return [SparsePoly(ring, {unit[i]: c for i, c in enumerate(vec) if c}) for vec in kernel]
+    return [SparsePoly(ring, {unit[i]: a for i, a in rel.items()}) for rel in relations]
 
 
 def empirical_secant_dim(
@@ -202,12 +222,11 @@ def _proportional(u: dict, v: dict, monos, domain) -> bool:
     return True
 
 
-def _certificate_points(inst: PowerInstance, nvars: int, p: int) -> list[list[int]]:
-    """k points of F_p^nvars, drawn from a stream seeded by the instance."""
-    rng = random.Random(
-        derive_seed("power-points", inst.power, *(f.terms_sorted() for f in inst.forms))
-    )
-    return [[rng.randrange(p) for _ in range(nvars)] for _ in inst.forms]
+def _certificate_points(rows, r: int, nvars: int, p: int) -> list[list[int]]:
+    """One point of F_p^nvars per form, drawn from a stream seeded by the
+    instance: the forms' integer coefficient rows and the power r."""
+    rng = random.Random(derive_seed("power-points", r, *rows))
+    return [[rng.randrange(p) for _ in range(nvars)] for _ in rows]
 
 
 def _power_values(rows, monos, points, r: int, p: int) -> list[list[int]]:
@@ -262,7 +281,7 @@ def power_independence(inst: PowerInstance) -> tuple[bool, int]:
         raise ValueError(f"power_independence over F_{p} needs p > s*r = {s * r}")
     field = domain if p else CERTIFICATE_FIELD
     q = field.p
-    certificate = _power_values(rows, monos, _certificate_points(inst, ring.nvars, q), r, q)
+    certificate = _power_values(rows, monos, _certificate_points(rows, r, ring.nvars, q), r, q)
     if exact_rank(certificate, field) == len(forms):
         return True, len(forms)
     rank = exact_rank(_power_values(rows, monos, lattice_points(ring.nvars, s * r), r, p), domain)

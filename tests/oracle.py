@@ -8,12 +8,20 @@ on the ungauged map (`ungauged`).  Formal partial derivatives (`partial`),
 evaluation (`evaluate`) and the quotient rule then give the gauged Jacobian
 that `rank.jacobian_at` evaluates numerically.  The expansion grows quickly
 with depth and degree, so only small architectures are affordable.
+
+`lattice_relations` is the oracle for the relations on a composite Veronese
+image: the kernel, by elimination, of the chain evaluated at the principal
+lattice.
 """
 
+import math
 from typing import Mapping
 
+from neurovar.domains import RATIONALS
 from neurovar.network import gauge_fix
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree
+from neurovar.rank import nullspace
+from neurovar.veronese import lattice_points
 
 
 def weight_name(layer, row, col):
@@ -81,6 +89,19 @@ def symbolic_map(gmap):
             buckets[index[m[:n0]]][m[n0:]] = c
         vectors.append(tuple(SparsePoly(weight_ring, b) for b in buckets))
     return tuple(vectors), weight_ring
+
+
+def lattice_relations(cv):
+    """The linear forms in z0..z_{ambient-1} vanishing on the image of the
+    composite Veronese `cv`: `rank.nullspace`'s reduced basis of the kernel of
+    the chain evaluated at the lattice of degree prod(degrees), where a form
+    vanishes exactly when its degree-D pullback does."""
+    rows = [cv.evaluate(x) for x in lattice_points(cv.nvars, math.prod(cv.degrees))]
+    ambient = cv.ambient
+    ring = Ring([f"z{i}" for i in range(ambient)], RATIONALS)
+    unit = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
+    return [SparsePoly(ring, {unit[i]: c for i, c in enumerate(vec) if c})
+            for vec in nullspace(rows, RATIONALS)]
 
 
 def partial(poly, var):

@@ -52,6 +52,19 @@ def test_prime_field_arithmetic():
         F.inv(0)
 
 
+def test_prime_field_inverse_on_random_elements():
+    rng = random.Random(3)
+    for p in (101, (1 << 61) - 1, random_prime(5)):
+        F = PrimeField(p)
+        for _ in range(200):
+            a = rng.randrange(-p, p)
+            if a % p:
+                assert F.inv(a) * a % p == 1
+        for zero in (0, p, -p):
+            with pytest.raises(ZeroDivisionError):
+                F.inv(zero)
+
+
 def test_rational_domain_is_exact():
     assert RATIONALS.inv(Fraction(3, 7)) == Fraction(7, 3)
     inv = RATIONALS.inv(3)  # a plain int in a rational path gives a Fraction, not a float

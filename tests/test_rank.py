@@ -203,7 +203,9 @@ def test_jacobian_depth_three_power_pencil_columns():
 
     First layer pinned to (y, x); the two first-layer columns carry the
     rational-normal-curve deformation weights on disjoint coefficient rows,
-    the last three columns the tangent data of the second secant.
+    the last three columns the tangent data of the second secant.  The
+    entries below are the derivatives of the ratios y_m/y0; `jacobian_at`
+    returns them cleared of the pivot denominator, times y0^2.
     """
     arch = validate((2, 2, 2, 1), (3, 3))
     gmap = gauge_fix(arch, mask=tctc_gauge_mask())
@@ -229,7 +231,7 @@ def test_jacobian_depth_three_power_pencil_columns():
     for col, entries in expected_cols.items():
         for row_m in range(1, 10):
             got = sample.matrix[row_m - 1][col]
-            assert got == entries.get(row_m, Fraction(0)), (col, row_m)
+            assert got == entries.get(row_m, Fraction(0)) * y0**2, (col, row_m)
     assert sample.rank == 5
 
 
@@ -325,6 +327,31 @@ def test_dim_upper_bound_holds_and_cuts_are_exact():
                 cut = validate(arch.widths[: k + 1], arch.degrees[: k - 1])
                 cut_rank, _ = generic_rank(gauge_fix(cut), tries=10, seed=1729, domain=PRIME)
                 assert report.dim_actual == cut_rank, (arch, k)
+
+
+def test_cleared_jacobian_has_the_ratio_jacobians_rank_on_bound_grid():
+    # Each cleared row is the ratio row times c0^2 != 0: at the same point the
+    # rank of `jacobian_at` equals the oracle's rank of the ratio Jacobian, over
+    # Q and over F_p, on every row of the grid.  Over Q at these integral
+    # points every entry is an int.
+    p = PRIME.p
+    for arch in _bound_grid():
+        gmap = gauge_fix(arch)
+        rng = random.Random(derive_seed(arch.label()))
+        while True:
+            point = tuple(RATIONALS.sample(rng) for _ in gmap.free)
+            point_p = tuple(v.numerator % p for v in point)
+            try:
+                sample = jacobian_at(gmap, point, RATIONALS)
+                sample_p = jacobian_at(gmap, point_p, PRIME)
+                break
+            except PivotVanishes:
+                continue
+        assert all(type(v) is int for row in sample.matrix for v in row), arch
+        ratio = symbolic_jacobian(gmap, [v.numerator for v in point], ratio=True)
+        assert sample.rank == reference_rank(ratio)[0], arch
+        ratio_p = [[v.numerator * pow(v.denominator, -1, p) for v in row] for row in ratio]
+        assert sample_p.rank == reference_rank(ratio_p, p)[0], arch
 
 
 def _count_jacobians(monkeypatch):
@@ -458,12 +485,14 @@ def test_dim_actual_bounded_by_expected_dimensions():
         assert report.fiber_dim >= 0
 
 
-def symbolic_jacobian(gmap, point):
+def symbolic_jacobian(gmap, point, ratio=False):
     """Differentiate the gauged symbolic coefficient ratios directly.
 
     Independent of the forward-tangent engine: uses the oracle's symbolic
-    map, formal partial derivatives, and the quotient rule.  `point` lists
-    the free weights' values in the oracle ring's variable order.
+    map, formal partial derivatives, and the quotient rule's numerator
+    den*dnum - num*dden, the derivative of num/den cleared of den^2 as
+    `jacobian_at` clears it; with `ratio`, the derivative of num/den itself.
+    `point` lists the free weights' values in the oracle ring's variable order.
     """
     vectors, ring = symbolic_map(gmap)
     rows = []
@@ -475,7 +504,8 @@ def symbolic_jacobian(gmap, point):
             for theta in ring.names:
                 dnum = evaluate(partial(num, theta), point)
                 dden = evaluate(partial(den, theta), point)
-                row.append((den_v * dnum - num_v * dden) / (den_v * den_v))
+                cleared = den_v * dnum - num_v * dden
+                row.append(Fraction(cleared, den_v * den_v) if ratio else cleared)
             rows.append(row)
     return rows
 

@@ -387,11 +387,12 @@ def test_cli_scan_respects_worker_env():
         (["dims", "-n", "2,3,2,1", "-d", "4,3", "--prime", "3"], {}),
         (["scan", "--depths", "2", "--max-width", "2", "--prime", "5"], {}),
         (["veronese-secant", "-n", "3", "-d", "4", "-s", "5", "--prime", "101"], {}),
+        (["dims", "-n", "2,2,1", "-d", "2", "--field", "rational", "--prime", "15"], {}),
     ],
     ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
          "check-depth-1", "seed-abc", "power-vars-1", "power-form-degree-0", "power-count-0",
          "power-negative", "depths-empty", "power-vars-0", "power-form-degree-negative",
-         "dims-prime-2", "dims-prime-3", "scan-prime-5", "secant-prime-101"],
+         "dims-prime-2", "dims-prime-3", "scan-prime-5", "secant-prime-101", "rational-prime"],
 )
 def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)
@@ -405,6 +406,19 @@ def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     assert all(key in err for key in env), err
     if "--prime" in argv:
         assert argv[argv.index("--prime") + 1] in err, err
+    if "--field" in argv:
+        assert "--field" in err and "--prime" in err, err
+
+
+def test_cli_rational_field_accepts_prime_auto(monkeypatch, capsys):
+    # 'auto' is the flag's default, so it names no prime.
+    monkeypatch.delenv("NV_SEED", raising=False)
+    argv = ["dims", "-n", "2,2,1", "-d", "2", "--field", "rational", "--json"]
+    assert main(argv + ["--prime", "auto"]) == 0
+    with_auto = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == with_auto
+    assert json.loads(with_auto)["domain"] == "rational"
 
 
 @pytest.mark.parametrize("degrees", ["60,60", "5,20"])

@@ -1,5 +1,6 @@
 """Composite Veronese maps, image relations, secant sampler, power independence."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 import neurovar.poly as poly_module
+import neurovar.rank as rank_module
 import neurovar.veronese as veronese_module
+from neurovar.cli import main
 from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import AmbientTooLarge, ProportionalPair
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_pow
@@ -23,7 +26,7 @@ from neurovar.veronese import (
     power_independence,
     power_threshold_scan,
 )
-from oracle import evaluate
+from oracle import evaluate, lattice_relations
 from support import reference_rank
 
 
@@ -59,9 +62,8 @@ def test_composite_veronese_rejects_huge_ambient():
 
 
 def test_composite_veronese_default_cap_admits_only_affordable_kernels():
-    # Ambient 55 (the largest chain the benchmark ranks) passes; ambient
-    # 53,130, whose relation kernel would rank a 53,140 x 53,130 matrix,
-    # does not.
+    # Ambient 55 (the largest chain in the benchmark) passes; ambient
+    # 53,130 is refused before its monomials are listed.
     assert composite_veronese(4, [2, 2]).ambient == 55
     with pytest.raises(AmbientTooLarge, match="stage ambient 53130 exceeds the cap 200"):
         composite_veronese(2, [5, 20])
@@ -168,13 +170,30 @@ def _chains(limit):
 
 def test_image_relations_kernel_dimension_over_chain_grid():
     # The image spans every degree-D source form, so the relations number
-    # ambient - binom(nvars - 1 + D, nvars - 1).
+    # ambient - binom(nvars - 1 + D, nvars - 1), and the relations read off
+    # the exponents are the reduced kernel basis of the lattice values.
     chains = _chains(60)
     assert len(chains) == 106 and sum(len(ds) > 1 for _, ds in chains) == 28
     for nvars, degrees in chains:
         cv = composite_veronese(nvars, degrees)
         forms = math.comb(nvars - 1 + math.prod(degrees), nvars - 1)
-        assert len(image_linear_relations(cv, seed=3)) == cv.ambient - forms, (nvars, degrees)
+        relations = image_linear_relations(cv, seed=3)
+        assert len(relations) == cv.ambient - forms, (nvars, degrees)
+        assert relations == lattice_relations(cv), (nvars, degrees)
+
+
+def test_image_relations_need_no_elimination(monkeypatch, capsys):
+    # The single degree-99 stage (ambient 100) has no relation; it is read
+    # off the exponents without a kernel or an echelon form.
+    def refuse(*args):
+        raise AssertionError("relations ran an elimination")
+
+    monkeypatch.setattr(rank_module, "nullspace", refuse)
+    monkeypatch.setattr(rank_module, "_echelon", refuse)
+    monkeypatch.delenv("NV_SEED", raising=False)
+    assert main(["relations", "-n", "2", "-d", "99", "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["ambient"], record["kernel_dim"], record["relations"]) == (100, 0, [])
 
 
 # -- secant dimensions -------------------------------------------------------------
@@ -393,7 +412,7 @@ def test_power_independence_falls_back_on_repeated_points(monkeypatch):
     calls = _counting_poly_pow(monkeypatch)
     monkeypatch.setattr(
         veronese_module, "_certificate_points",
-        lambda inst, nvars, p: [[3] * nvars for _ in inst.forms],
+        lambda rows, r, nvars, p: [[3] * nvars for _ in rows],
     )
     for forms, r in _certificate_cases():
         expected = _expanded_rank(forms, r)
