@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .domains import PrimeField, RATIONALS
+from .domains import RATIONALS
 from .errors import ArchitectureError, NeurovarError, SamplingExhausted
 from .network import gauge_fix, validate
 from .rank import (
@@ -233,7 +233,7 @@ def cmd_veronese_secant(args) -> int:
         "trials": args.tries,
         "seed": seed,
         "domain": domain.kind,
-        "prime": str(domain.p) if isinstance(domain, PrimeField) else None,
+        "prime": str(domain.p) if domain.p else None,
     }
     _emit(args, record, [
         f"Sec_{args.secant}(V^{args.nvars - 1}_{args.deg}): dim {dim} "

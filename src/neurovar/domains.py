@@ -1,12 +1,11 @@
-"""Exact coefficient domains: arbitrary-precision rationals and large prime fields.
+"""Exact coefficient fields: arbitrary-precision rationals and large prime fields.
 
-All arithmetic in this package routes through one of the two domain objects
-defined here, so no floating point ever enters a computation.  A rational is
-a plain Python int or a `fractions.Fraction`: the field's zero, one and
-integers are ints, so integer computations over Q never build a Fraction,
-and only `inv` (and `sample`, for the reports' witness points) returns one.
-Prime-field elements are plain ints reduced modulo p.  Both are exact,
-immutable, hashable, and safe to share across threads.
+A field is identified by its characteristic `p`: `PrimeField(p).p` is the
+modulus and `Rationals.p` is 0.  Elements are plain Python values with no
+arithmetic interface of their own: a rational is an int or a
+`fractions.Fraction` (`Rationals.sample` returns a Fraction, which the
+reports' witness points show), and a prime-field element is an int that
+callers reduce modulo p.  No floating point ever enters a computation.
 
 Prime fields are a sampling device: evaluating a polynomial identity at a
 uniform point of F_p fails with probability at most (total degree)/p, so with
@@ -62,30 +61,10 @@ def random_prime(seed: int) -> int:
 
 
 class Rationals:
-    """The field of arbitrary-precision rationals: ints and Fractions."""
+    """The field Q of arbitrary-precision rationals, of characteristic 0."""
 
     kind = "rational"
-
-    zero = 0
-    one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return Fraction(1) / a
-
-    def from_int(self, n: int) -> int:
-        return n
+    p = 0
 
     def sample(self, rng: random.Random) -> Fraction:
         # Small integers keep fraction-free elimination pivots modest.
@@ -110,34 +89,12 @@ class PrimeField:
         if not is_probable_prime(p):
             raise ValueError(f"PrimeField modulus must be prime, got {p}")
         self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in prime field")
-        return pow(a, -1, self.p)
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
 
     def sample(self, rng: random.Random) -> int:
         return rng.randrange(self.p)
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, type(self)) and other.p == self.p
 
     def __hash__(self):
         return hash(("prime", self.p))

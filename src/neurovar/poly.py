@@ -1,16 +1,19 @@
-"""Sparse multivariate polynomial arithmetic over an exact coefficient domain.
+"""Sparse multivariate polynomial arithmetic over an exact coefficient field.
 
-A polynomial is a map from exponent tuples to nonzero domain elements:
+A polynomial is a map from exponent tuples to nonzero field elements:
 
     x0^2*x1 + 3  ->  {(2, 1): 1, (0, 0): 3}
 
-Zero coefficients are never stored, so two polynomials are equal exactly when
-their term maps are equal.  Monomials are compared lexicographically on the
-exponent tuple (x0 before x1 before ...), which for a fixed total degree gives
-the order [x^d, x^(d-1)y, ..., y^d] used everywhere in this package for
-coefficient indexing.  Products and powers serve the Jacobian's value and
-tangent passes; the Veronese lab only lists monomials and holds forms here,
-and evaluates them at points itself.
+Coefficients are plain ints (or Fractions over Q), combined with `+`, `-`
+and `*` and reduced modulo the ring's characteristic p = `ring.domain.p` when
+p > 0, so a stored coefficient over F_p lies in 1..p-1.  Zero coefficients
+are never stored, so two polynomials are equal exactly when their term maps
+are equal.  Monomials are compared lexicographically on the exponent tuple
+(x0 before x1 before ...), which for a fixed total degree gives the order
+[x^d, x^(d-1)y, ..., y^d] used everywhere in this package for coefficient
+indexing.  Products and powers serve the Jacobian's value and tangent
+passes; the Veronese lab only lists monomials and holds forms here, and
+evaluates them at points itself.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def monomials_of_degree(nvars: int, deg: int) -> list[Monomial]:
 
 
 class Ring:
-    """A polynomial ring with named variables over an exact domain.
+    """A polynomial ring with named variables over an exact field.
 
     Variable order is the tuple order of `names`; it fixes the exponent-tuple
     layout and therefore the lexicographic monomial order.
@@ -72,9 +75,11 @@ class Ring:
         return SparsePoly(self, {})
 
     def one(self) -> "SparsePoly":
-        return SparsePoly(self, {(0,) * self.nvars: self.domain.one})
+        return SparsePoly(self, {(0,) * self.nvars: 1})
 
     def const(self, value) -> "SparsePoly":
+        if self.domain.p:
+            value %= self.domain.p
         if not value:
             return self.zero()
         return SparsePoly(self, {(0,) * self.nvars: value})
@@ -82,7 +87,7 @@ class Ring:
     def var(self, name: str) -> "SparsePoly":
         exp = [0] * self.nvars
         exp[self._index[name]] = 1
-        return SparsePoly(self, {tuple(exp): self.domain.one})
+        return SparsePoly(self, {tuple(exp): 1})
 
     def __eq__(self, other):
         return (
@@ -110,11 +115,13 @@ class SparsePoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        dom = self.ring.domain
+        p = self.ring.domain.p
         out = dict(self.terms)
         for m, c in other.terms.items():
             if m in out:
-                s = dom.add(out[m], c)
+                s = out[m] + c
+                if p:
+                    s %= p
                 if s:
                     out[m] = s
                 else:
@@ -127,13 +134,12 @@ class SparsePoly:
         return self + -other
 
     def __neg__(self) -> "SparsePoly":
-        neg = self.ring.domain.neg
-        return SparsePoly(self.ring, {m: neg(c) for m, c in self.terms.items()})
+        p = self.ring.domain.p
+        if p:
+            return SparsePoly(self.ring, {m: -c % p for m, c in self.terms.items()})
+        return SparsePoly(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        dom = self.ring.domain
-        mul = dom.mul
-        add = dom.add
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -143,20 +149,25 @@ class SparsePoly:
             for mb, cb in b.items():
                 m = tuple(map(int.__add__, ma, mb))
                 prev = get(m)
-                if prev is None:
-                    out[m] = mul(ca, cb)
-                else:
-                    out[m] = add(prev, mul(ca, cb))
+                out[m] = ca * cb if prev is None else prev + ca * cb
+        p = self.ring.domain.p
+        if p:
+            for m, c in out.items():
+                out[m] = c % p
         for m in [m for m, c in out.items() if not c]:
             del out[m]
         return SparsePoly(self.ring, out)
 
     def scale(self, c) -> "SparsePoly":
-        """Multiply by a domain scalar."""
+        """Multiply by a field scalar; over F_p an int, reduced here."""
+        p = self.ring.domain.p
+        if p:
+            c %= p
         if not c:
             return self.ring.zero()
-        mul = self.ring.domain.mul
-        return SparsePoly(self.ring, {m: mul(cv, c) for m, cv in self.terms.items()})
+        if p:
+            return SparsePoly(self.ring, {m: cv * c % p for m, cv in self.terms.items()})
+        return SparsePoly(self.ring, {m: cv * c for m, cv in self.terms.items()})
 
     def __pow__(self, e: int) -> "SparsePoly":
         return poly_pow(self, e)

@@ -2,24 +2,25 @@
 
 The gauged coefficient map sends free weights to ratios of coefficient
 polynomials.  Its Jacobian at a random exact point is computed by one forward
-value pass (polynomials in the inputs with domain coefficients) followed by
-one forward tangent pass per free weight, sharing the cached layer powers:
-if F_t are the layer forms and G_t their activations, a tangent seeded at
-weight (j, u, v) propagates as dF_t[i] = sum_s W_t[i][s]*d_{t-1}*
-F_{t-1}[s]^(d_{t-1}-1)*dF_{t-1}[s].  The quotient rule then yields the
+value pass (polynomials in the inputs, on ints reduced mod p over F_p or
+ints over Q) followed by one forward tangent pass per free weight, sharing the
+cached layer powers: if F_t are the layer forms and G_t their activations, a
+tangent seeded at weight (j, u, v) propagates as dF_t[i] = sum_s W_t[i][s]*
+d_{t-1}*F_{t-1}[s]^(d_{t-1}-1)*dF_{t-1}[s].  The quotient rule then yields the
 derivative of every dehomogenized coordinate c_m/c_0, kept cleared of its
 denominator: the row of output coordinate m is c_0*dc_m - c_m*dc_0, the
 derivative times c_0^2.  Scaling a row by a nonzero constant changes no rank
 of any set of columns, and over Q at an integral point every entry stays an
-int, so no Fraction is built and no pivot coefficient inverted.  This is the package's only
-Jacobian route: the coefficient map is never expanded symbolically, since
-that blows up with depth.  The test suite checks the per-point pass against
-formal derivatives of a symbolic coefficient map on small cases.
+int, so no Fraction is built and no pivot coefficient inverted.  This is the
+package's only Jacobian route: the coefficient map is never expanded
+symbolically, since that blows up with depth.  The test suite checks the
+per-point pass against formal derivatives of a symbolic coefficient map on
+small cases.
 
-One forward row-echelon routine serves rank and nullspace alike: ordinary
-elimination modulo p for prime fields, fraction-free (Bareiss) elimination
-over the integers after clearing denominators for rational matrices.
-`exact_rank` counts its pivots and `nullspace` back-substitutes on its rows.
+A field is read off its characteristic `domain.p` (0 for Q).  One forward
+row-echelon routine, `_echelon`, serves rank: ordinary elimination modulo p
+for prime fields, fraction-free (Bareiss) elimination over the integers after
+clearing denominators for rational matrices; `exact_rank` counts its pivots.
 
 A rational rank starts with a full-rank certificate: the same routine modulo
 the fixed prime q of CERTIFICATE_FIELD on the cleared integer rows.  Rank
@@ -34,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .domains import RATIONALS, PrimeField, random_prime
@@ -133,8 +133,8 @@ def _integer_rows(matrix, domain) -> tuple[list[list[int]], int]:
     """Integer copies of the rows and the modulus `_echelon` takes: entries
     reduced mod p over F_p; over Q (p = 0) each row times the lcm of its
     denominators (1 for a row of ints)."""
-    if isinstance(domain, PrimeField):
-        p = domain.p
+    p = domain.p
+    if p:
         return [[v % p for v in row] for row in matrix], p
     cleared = []
     for row in matrix:
@@ -160,36 +160,6 @@ def exact_rank(matrix, domain) -> int:
         if len(_echelon([[v % q for v in row] for row in m], q)) == full:
             return full
     return len(_echelon(m, p))
-
-
-def nullspace(rows, domain) -> list[list]:
-    """Reduced basis of {v : A v = 0} over the domain of the matrix A.
-
-    One vector per non-pivot column f of the echelon form, with 1 at f and 0
-    at every other non-pivot column, in column order.  Back-substitution on
-    the echelon rows: over F_p by pivot inverses; over Q on integers scaled
-    by the last pivot, which by Cramer's rule clears every denominator, so
-    each division is exact.
-    """
-    m, p = _integer_rows(rows, domain)
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots = _echelon(m, p)
-    scale = m[len(pivots) - 1][pivots[-1]] if pivots and not p else 1
-    invs = [pow(m[r][c], -1, p) for r, c in enumerate(pivots)] if p else None
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[f] = scale
-        filled = [f]
-        for r, pc in reversed(list(enumerate(pivots))):
-            row = m[r]
-            s = sum(row[c] * v[c] for c in filled)
-            v[pc] = -s * invs[r] % p if p else -s // row[pc]
-            filled.append(pc)
-        basis.append(v if p else [Fraction(x, scale) for x in v])
-    return basis
 
 
 # -- forward value and tangent passes -----------------------------------------
@@ -231,10 +201,9 @@ def _forward_cached(arch: Architecture, wvals, ring: Ring):
 
 def _tangent_outputs(arch: Architecture, wvals, powers, activated, layer, row, col, ring):
     """Derivative of every output with respect to weight (layer, row, col)."""
-    dom = ring.domain
     dcur = {row: activated[layer - 1][col]}
     for t in range(layer + 1, arch.depth + 1):
-        d_prev = dom.from_int(arch.degrees[t - 2])
+        d_prev = arch.degrees[t - 2]
         W = wvals[t - 1]
         dnext: dict[int, SparsePoly] = {}
         for s, dpoly in dcur.items():
@@ -278,22 +247,21 @@ def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
     arch = gmap.arch
     ring = Ring([f"x{i}" for i in range(arch.n_in)], domain)
     values = [v.numerator if v.denominator == 1 else v for v in point]
-    wvals = gmap.weight_matrices(values, domain.one)
+    wvals = gmap.weight_matrices(values, 1)
     outputs, powers, activated = _forward_cached(arch, wvals, ring)
 
     monos = monomials_of_degree(arch.n_in, arch.total_degree)
-    zero = domain.zero
     coeffs = []
     for out in outputs:
-        vec = [out.terms.get(m, zero) for m in monos]
+        vec = [out.terms.get(m, 0) for m in monos]
         if not vec[0]:
             raise PivotVanishes(tuple(point))
         coeffs.append(vec)
 
-    p = domain.p if isinstance(domain, PrimeField) else 0
+    p = domain.p
     nrows = arch.n_out * (len(monos) - 1)
     ncols = gmap.domain_dim
-    rows = [[zero] * ncols for _ in range(nrows)]
+    rows = [[0] * ncols for _ in range(nrows)]
 
     for j, (layer, row, col) in enumerate(gmap.free):
         douts = _tangent_outputs(arch, wvals, powers, activated, layer, row, col, ring)
@@ -301,9 +269,9 @@ def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
         for ell in range(arch.n_out):
             dterms = douts[ell].terms
             cvec = coeffs[ell]
-            c0, dc0 = cvec[0], dterms.get(monos[0], zero)
+            c0, dc0 = cvec[0], dterms.get(monos[0], 0)
             for mi in range(1, len(monos)):
-                num = c0 * dterms.get(monos[mi], zero) - cvec[mi] * dc0
+                num = c0 * dterms.get(monos[mi], 0) - cvec[mi] * dc0
                 rows[r][j] = num % p if p else num
                 r += 1
 
@@ -345,7 +313,7 @@ def generic_rank(
     if domain is None:
         domain = auto_prime_field(seed)
     cap = min(gmap.domain_dim, gmap.target_dim, dim_upper_bound(gmap.arch))
-    if isinstance(domain, PrimeField):
+    if domain.p:
         deg_c = 1
         for d in gmap.arch.degrees:
             deg_c = 1 + d * deg_c
@@ -430,7 +398,7 @@ def neurovariety_stats(
         seed=seed,
         witness=witness,
         domain_kind=domain.kind,
-        prime=domain.p if isinstance(domain, PrimeField) else None,
+        prime=domain.p or None,
     )
 
 

@@ -151,7 +151,7 @@ def image_linear_relations(cv: CompositeVeronese, seed: int = DEFAULT_SEED) -> l
     repeats that of an earlier coordinate c, the first of that monomial.
     A form vanishes on the image exactly when its coefficients sum to zero
     on every monomial's coordinates, and these relations span those forms.
-    This is the reduced basis that `rank.nullspace` gives for the chain
+    This is the reduced kernel basis, by elimination, of the chain
     evaluated at the lattice of degree prod(degrees): there the pivot
     columns are the first coordinates of each monomial, since distinct
     degree-D monomials are independent on that lattice (`lattice_points`),
@@ -209,16 +209,25 @@ class PowerInstance:
     power: int
 
 
-def _proportional(u: dict, v: dict, monos, domain) -> bool:
-    """Whether two coefficient vectors are proportional (all 2x2 minors zero)."""
-    for i in range(len(monos)):
-        for j in range(i + 1, len(monos)):
-            a = u.get(monos[i], domain.zero)
-            b = u.get(monos[j], domain.zero)
-            c = v.get(monos[i], domain.zero)
-            d = v.get(monos[j], domain.zero)
-            if domain.sub(domain.mul(a, d), domain.mul(b, c)):
-                return False
+def _proportional(u, v, p: int) -> bool:
+    """Whether the coefficient rows u and v are proportional over F_p (p > 0,
+    entries read mod p) or Q (p = 0), i.e. all their 2x2 minors vanish.
+
+    With (a, b) the entries of u and v at the first index where u is nonzero,
+    the minors through that index, u_i*b - v_i*a, vanish exactly when
+    v = (b/a)*u, and then all minors do; a zero u is proportional to every v.
+    One pass, which for non-proportional rows usually stops at the second
+    entry.
+    """
+    for a, b in zip(u, v):
+        if a % p if p else a:
+            break
+    else:
+        return True
+    for x, y in zip(u, v):
+        d = x * b - y * a
+        if d % p if p else d:
+            return False
     return True
 
 
@@ -247,7 +256,7 @@ def power_independence(inst: PowerInstance) -> tuple[bool, int]:
     The forms must be homogeneous of one degree s, and r >= 0; over F_p the
     prime must exceed s*r (ValueError otherwise).  Raises ProportionalPair if
     two input forms are linearly dependent (the instance precondition),
-    detected through 2x2 minors of their coefficient vectors.  Over Q each
+    detected on their integer coefficient rows (`_proportional`).  Over Q each
     form is first scaled to integer coefficients, which scales its power and
     keeps (in)dependence.
 
@@ -272,11 +281,11 @@ def power_independence(inst: PowerInstance) -> tuple[bool, int]:
     if any(sum(m) != s for f in forms for m in f.terms):
         raise ValueError(f"power_independence needs forms homogeneous of one degree s={s}")
     monos = monomials_of_degree(ring.nvars, s)
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            if _proportional(forms[i].terms, forms[j].terms, monos, domain):
+    rows, p = _integer_rows([[f.terms.get(m, 0) for m in monos] for f in forms], domain)
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if _proportional(rows[i], rows[j], p):
                 raise ProportionalPair(i, j)
-    rows, p = _integer_rows([[f.terms.get(m, domain.zero) for m in monos] for f in forms], domain)
     if p and p <= s * r:
         raise ValueError(f"power_independence over F_{p} needs p > s*r = {s * r}")
     field = domain if p else CERTIFICATE_FIELD
@@ -309,20 +318,12 @@ def _random_instance(nvars, count, form_degree, domain, rng) -> list[SparsePoly]
     """Random pairwise non-proportional forms of the given degree."""
     ring = Ring([f"z{i}" for i in range(nvars)], domain)
     monos = monomials_of_degree(nvars, form_degree)
-    forms: list[SparsePoly] = []
-    while len(forms) < count:
-        terms = {}
-        for m in monos:
-            c = domain.sample(rng)
-            if c:
-                terms[m] = c
-        cand = SparsePoly(ring, terms)
-        if not terms:
-            continue
-        if any(_proportional(cand.terms, f.terms, monos, domain) for f in forms):
-            continue
-        forms.append(cand)
-    return forms
+    rows: list[list] = []
+    while len(rows) < count:
+        row = [domain.sample(rng) for _ in monos]
+        if any(row) and not any(_proportional(row, r, domain.p) for r in rows):
+            rows.append(row)
+    return [SparsePoly(ring, {m: c for m, c in zip(monos, row) if c}) for row in rows]
 
 
 def power_threshold_scan(

@@ -10,17 +10,22 @@ that `rank.jacobian_at` evaluates numerically.  The expansion grows quickly
 with depth and degree, so only small architectures are affordable.
 
 `lattice_relations` is the oracle for the relations on a composite Veronese
-image: the kernel, by elimination, of the chain evaluated at the principal
-lattice.
+image: the kernel (`nullspace`, by elimination) of the chain evaluated at the
+principal lattice.
+
+Coefficients are combined with plain `+`, `-` and `*` and reduced modulo the
+ring's characteristic p when p > 0, independently of `SparsePoly`'s own
+arithmetic.
 """
 
 import math
+from fractions import Fraction
 from typing import Mapping
 
 from neurovar.domains import RATIONALS
 from neurovar.network import gauge_fix
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree
-from neurovar.rank import nullspace
+from neurovar.rank import _echelon, _integer_rows
 from neurovar.veronese import lattice_points
 
 
@@ -91,9 +96,39 @@ def symbolic_map(gmap):
     return tuple(vectors), weight_ring
 
 
+def nullspace(rows, domain) -> list[list]:
+    """Reduced basis of {v : A v = 0} over the field of the matrix A.
+
+    One vector per non-pivot column f of the echelon form, with 1 at f and 0
+    at every other non-pivot column, in column order.  Back-substitution on
+    the echelon rows of `rank._echelon`: over F_p by pivot inverses; over Q on
+    integers scaled by the last pivot, which by Cramer's rule clears every
+    denominator, so each division is exact.
+    """
+    m, p = _integer_rows(rows, domain)
+    if not m:
+        return []
+    ncols = len(m[0])
+    pivots = _echelon(m, p)
+    scale = m[len(pivots) - 1][pivots[-1]] if pivots and not p else 1
+    invs = [pow(m[r][c], -1, p) for r, c in enumerate(pivots)] if p else None
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = scale
+        filled = [f]
+        for r, pc in reversed(list(enumerate(pivots))):
+            row = m[r]
+            s = sum(row[c] * v[c] for c in filled)
+            v[pc] = -s * invs[r] % p if p else -s // row[pc]
+            filled.append(pc)
+        basis.append(v if p else [Fraction(x, scale) for x in v])
+    return basis
+
+
 def lattice_relations(cv):
     """The linear forms in z0..z_{ambient-1} vanishing on the image of the
-    composite Veronese `cv`: `rank.nullspace`'s reduced basis of the kernel of
+    composite Veronese `cv`: `nullspace`'s reduced basis of the kernel of
     the chain evaluated at the lattice of degree prod(degrees), where a form
     vanishes exactly when its degree-D pullback does."""
     rows = [cv.evaluate(x) for x in lattice_points(cv.nvars, math.prod(cv.degrees))]
@@ -107,49 +142,50 @@ def lattice_relations(cv):
 def partial(poly, var):
     """Formal partial derivative of `poly` with respect to the variable `var`."""
     i = poly.ring.index(var)
-    dom = poly.ring.domain
+    p = poly.ring.domain.p
     out = {}
     for m, c in poly.terms.items():
         e = m[i]
         if e == 0:
             continue
         dm = m[:i] + (e - 1,) + m[i + 1 :]
-        coeff = dom.mul(c, dom.from_int(e))
-        if dm in out:
-            coeff = dom.add(out[dm], coeff)
+        coeff = out.get(dm, 0) + c * e
+        if p:
+            coeff %= p
         if coeff:
             out[dm] = coeff
-        elif dm in out:
-            del out[dm]
+        else:
+            out.pop(dm, None)
     return SparsePoly(poly.ring, out)
 
 
 def evaluate(poly, point):
-    """Evaluate at a full assignment (dict name->value or sequence by index)."""
-    dom = poly.ring.domain
+    """Evaluate at a full assignment (dict name->value or sequence by index),
+    reduced mod p over F_p."""
+    p = poly.ring.domain.p
     if isinstance(point, Mapping):
         values = [point[n] for n in poly.ring.names]
     else:
         values = list(point)
         if len(values) != poly.ring.nvars:
             raise ValueError("point length does not match variable count")
-    total = dom.zero
+    total = 0
     for m, c in poly.terms.items():
         term = c
         for e, v in zip(m, values):
             if e:
-                term = dom.mul(term, _power(dom, v, e))
-        total = dom.add(total, term)
-    return total
+                term = term * _power(v, e, p)
+        total += term
+    return total % p if p else total
 
 
-def _power(dom, value, e):
-    """Repeated-squaring power of a domain element."""
-    result = dom.one
+def _power(value, e, p):
+    """Repeated-squaring power, reduced mod p when p > 0."""
+    result = 1
     base = value
     while e:
         if e & 1:
-            result = dom.mul(result, base)
-        base = dom.mul(base, base)
+            result = result * base % p if p else result * base
+        base = base * base % p if p else base * base
         e >>= 1
     return result

@@ -1,0 +1,82 @@
+"""Byte-identity of the command-line reports.
+
+Each case runs `neurovar.cli.main` in-process and compares its stdout with a
+recorded file in tests/golden/.  The scan's `wall_ms` column is a timing, so
+it is blanked before the comparison.  A change that alters any of these bytes
+changes a reported answer or its format; re-record a file
+(`python tests/test_golden_outputs.py`) only when that is the intent.
+"""
+
+import contextlib
+import csv
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from neurovar.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_HEADLINE = ("2,3,2,1/4,3", "2,3,2,1/3,3", "2,2,2,1/3,3", "2,2,2,2/3,3")
+
+CASES = {
+    **{
+        f"dims-{arch.replace(',', '').replace('/', '-')}{suffix}": [
+            "dims", "-n", arch.split("/")[0], "-d", arch.split("/")[1], *flags
+        ]
+        for arch in _HEADLINE
+        for suffix, flags in (("", []), ("-json", ["--json"]))
+    },
+    "dims-2321-33-rational": ["dims", "-n", "2,3,2,1", "-d", "3,3", "--field", "rational"],
+    "dims-2222-33-confirm-json": ["dims", "-n", "2,2,2,2", "-d", "3,3", "--confirm-rational", "--json"],
+    "veronese-secant-5-3-7": ["veronese-secant", "-n", "5", "-d", "3", "-s", "7"],
+    "veronese-secant-3-4-5-rational": ["veronese-secant", "-n", "3", "-d", "4", "-s", "5",
+                                       "--field", "rational"],
+    "power-indep-3-4-2-find-min-json": ["power-indep", "--vars", "3", "--count", "4",
+                                        "--form-degree", "2", "--find-min", "--json"],
+    "relations-3-22": ["relations", "-n", "3", "-d", "2,2"],
+    "scan-d2-w3-csv": ["scan", "--depths", "2", "--max-width", "3", "--csv"],
+}
+
+
+def _blank_wall_ms(text: str) -> str:
+    rows = list(csv.reader(io.StringIO(text)))
+    col = rows[0].index("wall_ms")
+    for row in rows[1:]:
+        row[col] = ""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _stdout(argv, capsys) -> str:
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    return _blank_wall_ms(out) if "--csv" in argv else out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, monkeypatch, capsys):
+    monkeypatch.delenv("NV_SEED", raising=False)
+    monkeypatch.delenv("NV_THREADS", raising=False)
+    expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert _stdout(CASES[name], capsys) == expected
+
+
+def _record() -> None:
+    """Write every case's current stdout to tests/golden/."""
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == 0, name
+        text = buf.getvalue()
+        (GOLDEN / f"{name}.out").write_text(
+            _blank_wall_ms(text) if "--csv" in argv else text, encoding="utf-8"
+        )
+
+
+if __name__ == "__main__":
+    sys.exit(_record())

@@ -12,6 +12,7 @@ from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_pow
 from oracle import evaluate, partial
 
 PRIME = PrimeField((1 << 61) - 1)
+SMALL = PrimeField(7)
 
 
 def test_monomials_of_degree_binary_quartics():
@@ -124,57 +125,76 @@ def test_poly_eval_conic_relation_on_squares():
 
 def _poly_from_spec(domain, terms):
     ring = Ring(["x", "y", "z"], domain)
+    p = domain.p
     acc = {}
     for exps, coeff in terms:
-        c = domain.from_int(coeff)
-        if exps in acc:
-            c = domain.add(acc[exps], c)
+        c = acc.get(exps, 0) + coeff
+        if p:
+            c %= p
         if c:
             acc[exps] = c
-        elif exps in acc:
-            del acc[exps]
+        else:
+            acc.pop(exps, None)
     return SparsePoly(ring, acc)
+
+
+def _canonical(poly):
+    """`poly`, once every stored coefficient is checked canonical: nonzero,
+    and in 1..p-1 over F_p."""
+    p = poly.ring.domain.p
+    assert all(0 < c < p if p else c != 0 for c in poly.terms.values()), poly.terms
+    return poly
+
+
+def _mod(value, p):
+    return value % p if p else value
 
 
 exponents = st.tuples(
     st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)
 )
 term_lists = st.lists(st.tuples(exponents, st.integers(-9, 9)), max_size=6)
+# Q, a 61-bit prime field and F_7, where wraparound and cancellation are frequent.
+fields = st.sampled_from([RATIONALS, PRIME, SMALL])
 
 
-@settings(max_examples=100, deadline=None)
-@given(term_lists, term_lists, term_lists, st.booleans())
-def test_ring_axioms(ta, tb, tc, use_prime):
-    domain = PRIME if use_prime else RATIONALS
+@settings(max_examples=150, deadline=None)
+@given(term_lists, term_lists, term_lists, st.integers(-9, 9), fields)
+def test_ring_axioms(ta, tb, tc, k, domain):
     a, b, c = (_poly_from_spec(domain, t) for t in (ta, tb, tc))
-    assert (a + b) + c == a + (b + c)
+    ok = _canonical
+    assert ok(ok(a + b) + c) == ok(a + ok(b + c))
     assert a + b == b + a
-    assert (a * b) * c == a * (b * c)
+    assert ok(ok(a * b) * c) == ok(a * ok(b * c))
     assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
+    assert a * (b + c) == ok(a * b) + ok(a * c)
+    assert ok(a - b) == a + ok(-b)
+    assert ok(a + -a) == a.ring.zero()
+    assert ok(a.scale(k)) == ok(a * a.ring.const(k))
+    assert ok(ok(a.scale(k)).scale(k)) == a.scale(k * k)
 
 
-@settings(max_examples=60, deadline=None)
-@given(term_lists, st.integers(0, 3), st.integers(0, 3), st.booleans())
-def test_pow_additivity(terms, e1, e2, use_prime):
-    domain = PRIME if use_prime else RATIONALS
+@settings(max_examples=90, deadline=None)
+@given(term_lists, st.integers(0, 3), st.integers(0, 3), fields)
+def test_pow_additivity(terms, e1, e2, domain):
     p = _poly_from_spec(domain, terms)
-    assert poly_pow(p, e1 + e2) == poly_pow(p, e1) * poly_pow(p, e2)
+    e1_pow, e2_pow = _canonical(poly_pow(p, e1)), _canonical(poly_pow(p, e2))
+    assert _canonical(poly_pow(p, e1 + e2)) == e1_pow * e2_pow
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     term_lists,
     term_lists,
     st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
-    st.booleans(),
+    fields,
 )
-def test_eval_is_ring_homomorphism(ta, tb, point, use_prime):
-    domain = PRIME if use_prime else RATIONALS
+def test_eval_is_ring_homomorphism(ta, tb, point, domain):
+    p = domain.p
     a, b = _poly_from_spec(domain, ta), _poly_from_spec(domain, tb)
-    vals = [domain.from_int(v) for v in point]
-    assert evaluate(a * b, vals) == domain.mul(evaluate(a, vals), evaluate(b, vals))
-    assert evaluate(a + b, vals) == domain.add(evaluate(a, vals), evaluate(b, vals))
+    vals = [_mod(v, p) for v in point]
+    assert evaluate(_canonical(a * b), vals) == _mod(evaluate(a, vals) * evaluate(b, vals), p)
+    assert evaluate(_canonical(a + b), vals) == _mod(evaluate(a, vals) + evaluate(b, vals), p)
 
 
 @settings(max_examples=60, deadline=None)

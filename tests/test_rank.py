@@ -9,7 +9,7 @@ from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import PivotVanishes, SamplingExhausted
 from neurovar.network import gauge_fix, validate
 from neurovar.poly import Ring, poly_pow
-from oracle import evaluate, partial, symbolic_map
+from oracle import evaluate, nullspace, partial, symbolic_map
 from support import reference_rank, tctc_gauge_mask
 
 import neurovar.rank as rank_module
@@ -22,7 +22,6 @@ from neurovar.rank import (
     generic_rank,
     jacobian_at,
     neurovariety_stats,
-    nullspace,
 )
 from neurovar.scan import ScanSpec, grid_architectures
 from neurovar.theory import dim_upper_bound, expected_dim

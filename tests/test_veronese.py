@@ -188,7 +188,6 @@ def test_image_relations_need_no_elimination(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("relations ran an elimination")
 
-    monkeypatch.setattr(rank_module, "nullspace", refuse)
     monkeypatch.setattr(rank_module, "_echelon", refuse)
     monkeypatch.delenv("NV_SEED", raising=False)
     assert main(["relations", "-n", "2", "-d", "99", "--json"]) == 0
@@ -302,6 +301,51 @@ def test_power_independence_detects_proportional_pair():
     assert (err.value.i, err.value.j) == (0, 1)
 
 
+def _minors_vanish(u, v, p):
+    """Reference proportionality: every 2x2 minor u_i*v_j - u_j*v_i of the two
+    rows is zero, over F_p (p > 0) or Q (p = 0)."""
+    return all(
+        (u[i] * v[j] - u[j] * v[i]) % p == 0 if p else u[i] * v[j] == u[j] * v[i]
+        for i in range(len(u))
+        for j in range(i + 1, len(u))
+    )
+
+
+def _proportionality_pairs(rng, p, m):
+    """Random pairs of length-m rows over F_p (p > 0, entries wrapping past
+    [0, p)) or Q: unrelated, exactly proportional, with zero leading entries,
+    and zero."""
+    def entry():
+        if p:
+            return rng.randrange(p) + p * rng.randint(-2, 2)
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    pairs = []
+    for _ in range(60):
+        u = [entry() for _ in range(m)]
+        for lead in range(rng.randint(0, m)):
+            u[lead] = p * rng.randint(-1, 1)
+        lam = rng.randrange(1, p) if p else Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+        v = [lam * x + p * rng.randint(-2, 2) for x in u]
+        pairs += [(u, v), (v, u), (u, [entry() for _ in range(m)]), (u, [0] * m), ([0] * m, u)]
+        near = list(v)
+        near[-1] += 1
+        pairs.append((u, near))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 13, CERTIFICATE_FIELD.p])
+def test_proportional_matches_two_by_two_minors(p):
+    rng = random.Random(p + 5)
+    seen = set()
+    for m in (1, 2, 3, 6):
+        for u, v in _proportionality_pairs(rng, p, m):
+            expected = _minors_vanish(u, v, p)
+            assert _proportional(u, v, p) == expected, (u, v, p)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_power_threshold_scan_binary_linear_forms():
     report = power_threshold_scan(2, 3, 1, trials=100, seed=8)
     assert report.power == 2
@@ -348,8 +392,8 @@ def _expanded_rank(forms, power):
     ring = forms[0].ring
     domain = ring.domain
     target = monomials_of_degree(ring.nvars, forms[0].total_degree() * power)
-    rows = [[poly_pow(f, power).terms.get(m, domain.zero) for m in target] for f in forms]
-    return reference_rank(rows, getattr(domain, "p", 0))[0]
+    rows = [[poly_pow(f, power).terms.get(m, 0) for m in target] for f in forms]
+    return reference_rank(rows, domain.p)[0]
 
 
 def _random_forms(ring, count, degree, rng):
@@ -357,16 +401,15 @@ def _random_forms(ring, count, degree, rng):
     domain = ring.domain
     monos = monomials_of_degree(ring.nvars, degree)
     forms = []
-    while len(forms) < count:
-        if isinstance(domain, PrimeField):
-            terms = {m: domain.sample(rng) for m in monos}
+    rows = []
+    while len(rows) < count:
+        if domain.p:
+            row = [domain.sample(rng) for _ in monos]
         else:
-            terms = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for m in monos}
-        cand = SparsePoly(ring, {m: c for m, c in terms.items() if c})
-        if cand.is_zero() or any(_proportional(cand.terms, f.terms, monos, domain) for f in forms):
-            continue
-        forms.append(cand)
-    return tuple(forms)
+            row = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in monos]
+        if any(row) and not any(_minors_vanish(row, r, domain.p) for r in rows):
+            rows.append(row)
+    return tuple(SparsePoly(ring, {m: c for m, c in zip(monos, row) if c}) for row in rows)
 
 
 def _certificate_cases():
