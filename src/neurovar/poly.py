@@ -4,16 +4,16 @@ A polynomial is a map from exponent tuples to nonzero field elements:
 
     x0^2*x1 + 3  ->  {(2, 1): 1, (0, 0): 3}
 
-Coefficients are plain ints (or Fractions over Q), combined with `+`, `-`
-and `*` and reduced modulo the ring's characteristic p = `ring.domain.p` when
-p > 0, so a stored coefficient over F_p lies in 1..p-1.  Zero coefficients
-are never stored, so two polynomials are equal exactly when their term maps
-are equal.  Monomials are compared lexicographically on the exponent tuple
-(x0 before x1 before ...), which for a fixed total degree gives the order
+Coefficients are plain ints (or Fractions over Q), combined with `+` and `*`
+and reduced modulo the ring's characteristic p = `ring.domain.p` when p > 0,
+so a stored coefficient over F_p lies in 1..p-1.  Zero coefficients are never
+stored, so two polynomials are equal exactly when their term maps are equal.
+Monomials are compared lexicographically on the exponent tuple (x0 before x1
+before ...), which for a fixed total degree gives the order
 [x^d, x^(d-1)y, ..., y^d] used everywhere in this package for coefficient
-indexing.  Products and powers serve the Jacobian's value and tangent
-passes; the Veronese lab only lists monomials and holds forms here, and
-evaluates them at points itself.
+indexing.  Products and powers serve the Jacobian's forward value pass and
+reverse (adjoint) pass; the Veronese lab only lists monomials and holds forms
+here, and evaluates them at points itself.
 """
 
 from __future__ import annotations
@@ -77,13 +77,6 @@ class Ring:
     def one(self) -> "SparsePoly":
         return SparsePoly(self, {(0,) * self.nvars: 1})
 
-    def const(self, value) -> "SparsePoly":
-        if self.domain.p:
-            value %= self.domain.p
-        if not value:
-            return self.zero()
-        return SparsePoly(self, {(0,) * self.nvars: value})
-
     def var(self, name: str) -> "SparsePoly":
         exp = [0] * self.nvars
         exp[self._index[name]] = 1
@@ -130,15 +123,6 @@ class SparsePoly:
                 out[m] = c
         return SparsePoly(self.ring, out)
 
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + -other
-
-    def __neg__(self) -> "SparsePoly":
-        p = self.ring.domain.p
-        if p:
-            return SparsePoly(self.ring, {m: -c % p for m, c in self.terms.items()})
-        return SparsePoly(self.ring, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -181,9 +165,6 @@ class SparsePoly:
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- queries -------------------------------------------------------------
 

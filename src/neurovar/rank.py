@@ -3,19 +3,28 @@
 The gauged coefficient map sends free weights to ratios of coefficient
 polynomials.  Its Jacobian at a random exact point is computed by one forward
 value pass (polynomials in the inputs, on ints reduced mod p over F_p or
-ints over Q) followed by one forward tangent pass per free weight, sharing the
-cached layer powers: if F_t are the layer forms and G_t their activations, a
-tangent seeded at weight (j, u, v) propagates as dF_t[i] = sum_s W_t[i][s]*
-d_{t-1}*F_{t-1}[s]^(d_{t-1}-1)*dF_{t-1}[s].  The quotient rule then yields the
-derivative of every dehomogenized coordinate c_m/c_0, kept cleared of its
-denominator: the row of output coordinate m is c_0*dc_m - c_m*dc_0, the
-derivative times c_0^2.  Scaling a row by a nonzero constant changes no rank
-of any set of columns, and over Q at an integral point every entry stays an
-int, so no Fraction is built and no pivot coefficient inverted.  This is the
-package's only Jacobian route: the coefficient map is never expanded
-symbolically, since that blows up with depth.  The test suite checks the
-per-point pass against formal derivatives of a symbolic coefficient map on
-small cases.
+ints over Q) followed by one reverse (adjoint) pass over the cached layer
+powers.  With F_t the layer forms, G_t = F_t^d_t their activations (G_0 the
+inputs) and W_t the weights, the derivative of output l with respect to
+weight (t, r, c) is A_t[r][l]*G_{t-1}[c], where A_t[r][l] is the adjoint of
+F_t[r]: A_L[r][l] = [r = l], and
+A_t[r][l] = d_t*F_t[r]^(d_t-1) * sum_s W_{t+1}[s][r]*A_{t+1}[s][l].
+A last-layer column is G_{L-1}[c] itself; the adjoints of layer L-1 are the
+scalar multiples d*W_L[l][r] of one power, so one product per column serves
+every output; below that, each adjoint is computed once per (r, l), and at
+layer 1 the factor G_0[c] = x_c is a single monomial.  The pass streams: a
+row's adjoints write that row's columns and are kept only until the layer
+below has read them.  The quotient rule then yields the derivative of every
+dehomogenized coordinate c_m/c_0, kept cleared of its denominator: the row of
+output coordinate m is c_0*dc_m - c_m*dc_0, the derivative times c_0^2.
+Scaling a row by a nonzero constant changes no rank of any set of columns,
+and over Q at an integral point every entry stays an int, so no Fraction is
+built and no pivot coefficient inverted.  This is the package's only Jacobian
+route: the coefficient map is never expanded symbolically, since that blows
+up with depth.  The test suite checks the per-point pass against formal
+derivatives of a symbolic coefficient map on small cases, and entry for entry
+against a forward-tangent assembly (one tangent pass per free weight) on a
+small grid.
 
 A field is read off its characteristic `domain.p` (0 for Q).  One forward
 row-echelon routine, `_echelon`, serves rank: ordinary elimination modulo p
@@ -40,7 +49,7 @@ from math import lcm
 from .domains import RATIONALS, PrimeField, random_prime
 from .errors import NotSingleOutput, PivotVanishes, SamplingExhausted
 from .network import Architecture, GaugedMap, gauge_fix
-from .poly import Ring, SparsePoly, monomials_of_degree
+from .poly import Ring, monomials_of_degree
 from .theory import (
     dim_upper_bound,
     expected_dim,
@@ -162,15 +171,17 @@ def exact_rank(matrix, domain) -> int:
     return len(_echelon(m, p))
 
 
-# -- forward value and tangent passes -----------------------------------------
+# -- forward value pass and reverse (adjoint) pass -----------------------------
 
 
 def _forward_cached(arch: Architecture, wvals, ring: Ring):
-    """Layer forms plus the power caches needed by the tangent passes.
+    """Layer forms plus the caches the adjoint pass reads.
 
     Returns (outputs, powers, activated) where activated[t] holds the
     G^{(t)} vector (activated[0] being the input variables) and powers[t][s]
-    is F^{(t)}_s ** (d_t - 1) for the hidden layers t = 1..L-1.
+    is F^{(t)}_s ** (d_t - 1) for the hidden layers t = 1..L-1: the adjoint
+    of G_t[s] reaches F_t[s] times d_t * powers[t][s], and
+    G_t[s] = powers[t][s] * F_t[s].
     """
     xs = [ring.var(f"x{i}") for i in range(arch.n_in)]
     activated = [xs]
@@ -197,29 +208,6 @@ def _forward_cached(arch: Architecture, wvals, ring: Ring):
         else:
             outputs = forms
     return outputs, powers, activated
-
-
-def _tangent_outputs(arch: Architecture, wvals, powers, activated, layer, row, col, ring):
-    """Derivative of every output with respect to weight (layer, row, col)."""
-    dcur = {row: activated[layer - 1][col]}
-    for t in range(layer + 1, arch.depth + 1):
-        d_prev = arch.degrees[t - 2]
-        W = wvals[t - 1]
-        dnext: dict[int, SparsePoly] = {}
-        for s, dpoly in dcur.items():
-            dG = (powers[t - 1][s] * dpoly).scale(d_prev)
-            for r in range(arch.widths[t]):
-                w = W[r][s]
-                if not w:
-                    continue
-                contrib = dG.scale(w)
-                if r in dnext:
-                    dnext[r] = dnext[r] + contrib
-                else:
-                    dnext[r] = contrib
-        dcur = dnext
-    zero = ring.zero()
-    return [dcur.get(ell, zero) for ell in range(arch.n_out)]
 
 
 @dataclass(frozen=True)
@@ -259,21 +247,58 @@ def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
         coeffs.append(vec)
 
     p = domain.p
-    nrows = arch.n_out * (len(monos) - 1)
+    span = len(monos) - 1
+    nrows = arch.n_out * span
     ncols = gmap.domain_dim
     rows = [[0] * ncols for _ in range(nrows)]
+    column = {pos: j for j, pos in enumerate(gmap.free)}
 
-    for j, (layer, row, col) in enumerate(gmap.free):
-        douts = _tangent_outputs(arch, wvals, powers, activated, layer, row, col, ring)
-        r = 0
-        for ell in range(arch.n_out):
-            dterms = douts[ell].terms
-            cvec = coeffs[ell]
-            c0, dc0 = cvec[0], dterms.get(monos[0], 0)
-            for mi in range(1, len(monos)):
-                num = c0 * dterms.get(monos[mi], 0) - cvec[mi] * dc0
-                rows[r][j] = num % p if p else num
-                r += 1
+    def put(j, ell, deriv, k):
+        """Write column j's rows of output ell, whose derivative is k*deriv."""
+        dterms = deriv.terms
+        cvec = coeffs[ell]
+        c0, dc0 = cvec[0], dterms.get(monos[0], 0)
+        for mi in range(1, len(monos)):
+            num = (c0 * dterms.get(monos[mi], 0) - cvec[mi] * dc0) * k
+            rows[ell * span + mi - 1][j] = num % p if p else num
+
+    L = arch.depth
+    for r in range(arch.n_out):
+        for c, g in enumerate(activated[L - 1]):
+            if (L, r, c) in column:
+                put(column[L, r, c], r, g, 1)
+    # upper[s][ell] = (k, a): the adjoint of F_{t+1}[s] for output ell is k*a.
+    upper = []
+    for t in range(L - 1, 0, -1):
+        d = arch.degrees[t - 1]
+        W = wvals[t]
+        kept = []
+        for r in range(arch.widths[t]):
+            pw = powers[t][r]
+            if t == L - 1:
+                adj = [(d * W[ell][r], pw) for ell in range(arch.n_out)]
+            else:
+                adj = []
+                for ell in range(arch.n_out):
+                    acc = ring.zero()
+                    for s, above in enumerate(upper):
+                        k, a = above[ell]
+                        acc = acc + a.scale(W[s][r] * k)
+                    adj.append((d, pw * acc))
+            for c, g in enumerate(activated[t - 1]):
+                j = column.get((t, r, c))
+                if j is None:
+                    continue
+                if t == L - 1:
+                    shared = pw * g
+                    for ell, (k, _) in enumerate(adj):
+                        put(j, ell, shared, k)
+                else:
+                    for ell, (k, a) in enumerate(adj):
+                        put(j, ell, a * g, k)
+            if t > 1:
+                kept.append(adj)
+        upper = kept
 
     rank = exact_rank(rows, domain) if nrows else 0
     return JacobianSample(rows, rank, (nrows, ncols))

@@ -83,6 +83,10 @@ class ScanSpec:
             raise ValueError("scans cover depths L >= 2")
         if self.max_out_width < 1:
             raise ValueError("max_out_width must be >= 1")
+        if self.max_free < 0:
+            raise ValueError(f"max_free must be >= 0, got {self.max_free}")
+        if self.max_ambient < 1:
+            raise ValueError(f"max_ambient must be >= 1, got {self.max_ambient}")
         if self.field not in ("prime", "rational"):
             raise ValueError("field must be 'prime' or 'rational'")
 

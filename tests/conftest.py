@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--slow",
         action="store_true",
         default=False,
-        help="also run slow tests (large secant cross-checks)",
+        help="also run tests marked slow",
     )
 
 

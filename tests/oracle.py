@@ -9,6 +9,13 @@ evaluation (`evaluate`) and the quotient rule then give the gauged Jacobian
 that `rank.jacobian_at` evaluates numerically.  The expansion grows quickly
 with depth and degree, so only small architectures are affordable.
 
+`tangent_jacobian` is the forward-mode reference for the reverse pass of
+`rank.jacobian_at`: over the same cached forward values it pushes one tangent
+per free weight through every later layer, with `SparsePoly` products.
+
+`const`, `neg`, `sub` and `is_zero` are the polynomial operations only the
+tests need.
+
 `lattice_relations` is the oracle for the relations on a composite Veronese
 image: the kernel (`nullspace`, by elimination) of the chain evaluated at the
 principal lattice.
@@ -23,9 +30,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from neurovar.domains import RATIONALS
+from neurovar.errors import PivotVanishes
 from neurovar.network import gauge_fix
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree
-from neurovar.rank import _echelon, _integer_rows
+from neurovar.rank import _echelon, _forward_cached, _integer_rows
 from neurovar.veronese import lattice_points
 
 
@@ -96,6 +104,60 @@ def symbolic_map(gmap):
     return tuple(vectors), weight_ring
 
 
+def _tangent_outputs(arch, wvals, powers, activated, layer, row, col, ring):
+    """Derivative of every output with respect to weight (layer, row, col): a
+    tangent seeded at F_layer[row] propagates as
+    dF_t[i] = sum_s W_t[i][s] * d_{t-1} * F_{t-1}[s]^(d_{t-1}-1) * dF_{t-1}[s]."""
+    dcur = {row: activated[layer - 1][col]}
+    for t in range(layer + 1, arch.depth + 1):
+        d_prev = arch.degrees[t - 2]
+        W = wvals[t - 1]
+        dnext = {}
+        for s, dpoly in dcur.items():
+            dG = (powers[t - 1][s] * dpoly).scale(d_prev)
+            for r in range(arch.widths[t]):
+                w = W[r][s]
+                if not w:
+                    continue
+                contrib = dG.scale(w)
+                dnext[r] = dnext[r] + contrib if r in dnext else contrib
+        dcur = dnext
+    zero = ring.zero()
+    return [dcur.get(ell, zero) for ell in range(arch.n_out)]
+
+
+def tangent_jacobian(gmap, point, domain):
+    """The rows of `rank.jacobian_at(gmap, point, domain).matrix`, assembled by
+    one forward tangent pass per free weight over the same cached forward
+    values.  Raises PivotVanishes where `jacobian_at` does."""
+    arch = gmap.arch
+    ring = Ring([f"x{i}" for i in range(arch.n_in)], domain)
+    values = [v.numerator if v.denominator == 1 else v for v in point]
+    wvals = gmap.weight_matrices(values, 1)
+    outputs, powers, activated = _forward_cached(arch, wvals, ring)
+    monos = monomials_of_degree(arch.n_in, arch.total_degree)
+    coeffs = []
+    for out in outputs:
+        vec = [out.terms.get(m, 0) for m in monos]
+        if not vec[0]:
+            raise PivotVanishes(tuple(point))
+        coeffs.append(vec)
+    p = domain.p
+    rows = [[0] * gmap.domain_dim for _ in range(arch.n_out * (len(monos) - 1))]
+    for j, (layer, row, col) in enumerate(gmap.free):
+        douts = _tangent_outputs(arch, wvals, powers, activated, layer, row, col, ring)
+        r = 0
+        for ell in range(arch.n_out):
+            dterms = douts[ell].terms
+            cvec = coeffs[ell]
+            c0, dc0 = cvec[0], dterms.get(monos[0], 0)
+            for mi in range(1, len(monos)):
+                num = c0 * dterms.get(monos[mi], 0) - cvec[mi] * dc0
+                rows[r][j] = num % p if p else num
+                r += 1
+    return rows
+
+
 def nullspace(rows, domain) -> list[list]:
     """Reduced basis of {v : A v = 0} over the field of the matrix A.
 
@@ -137,6 +199,28 @@ def lattice_relations(cv):
     unit = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
     return [SparsePoly(ring, {unit[i]: c for i, c in enumerate(vec) if c})
             for vec in nullspace(rows, RATIONALS)]
+
+
+def const(ring, value):
+    """The constant polynomial `value` of `ring`, reduced mod p over F_p."""
+    p = ring.domain.p
+    value = value % p if p else value
+    return SparsePoly(ring, {(0,) * ring.nvars: value} if value else {})
+
+
+def neg(poly):
+    """-poly, reduced mod p over F_p."""
+    p = poly.ring.domain.p
+    return SparsePoly(poly.ring, {m: -c % p if p else -c for m, c in poly.terms.items()})
+
+
+def sub(a, b):
+    """a - b."""
+    return a + neg(b)
+
+
+def is_zero(poly):
+    return not poly.terms
 
 
 def partial(poly, var):

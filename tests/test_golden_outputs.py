@@ -29,6 +29,8 @@ CASES = {
         for arch in _HEADLINE
         for suffix, flags in (("", []), ("-json", ["--json"]))
     },
+    "dims-4232-44-json": ["dims", "-n", "4,2,3,2", "-d", "4,4", "--json"],
+    "dims-34441-222": ["dims", "-n", "3,4,4,4,1", "-d", "2,2,2"],
     "dims-2321-33-rational": ["dims", "-n", "2,3,2,1", "-d", "3,3", "--field", "rational"],
     "dims-2222-33-confirm-json": ["dims", "-n", "2,2,2,2", "-d", "3,3", "--confirm-rational", "--json"],
     "veronese-secant-5-3-7": ["veronese-secant", "-n", "5", "-d", "3", "-s", "7"],

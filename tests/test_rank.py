@@ -9,7 +9,7 @@ from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import PivotVanishes, SamplingExhausted
 from neurovar.network import gauge_fix, validate
 from neurovar.poly import Ring, poly_pow
-from oracle import evaluate, nullspace, partial, symbolic_map
+from oracle import evaluate, is_zero, nullspace, partial, symbolic_map, tangent_jacobian
 from support import reference_rank, tctc_gauge_mask
 
 import neurovar.rank as rank_module
@@ -288,7 +288,7 @@ def test_neurovariety_stats_expected_dimension_example():
 
 def test_neurovariety_stats_two_output_example():
     # Independently confirmed by the symbolic-derivative route below before
-    # trusting the forward-tangent engine.
+    # trusting the adjoint Jacobian pass.
     arch = validate((2, 2, 2, 2), (3, 3))
     report = neurovariety_stats(arch, tries=10, seed=1729)
     assert report.expdim_general == 6
@@ -487,7 +487,7 @@ def test_dim_actual_bounded_by_expected_dimensions():
 def symbolic_jacobian(gmap, point, ratio=False):
     """Differentiate the gauged symbolic coefficient ratios directly.
 
-    Independent of the forward-tangent engine: uses the oracle's symbolic
+    Independent of the value and adjoint passes: uses the oracle's symbolic
     map, formal partial derivatives, and the quotient rule's numerator
     den*dnum - num*dden, the derivative of num/den cleared of den^2 as
     `jacobian_at` clears it; with `ratio`, the derivative of num/den itself.
@@ -535,6 +535,33 @@ def test_forward_tangents_match_symbolic_derivatives(widths, degrees, mask):
             continue
         oracle = symbolic_jacobian(gmap, point)
         assert [list(r) for r in sample.matrix] == oracle
+
+
+def test_adjoint_jacobian_matches_tangent_reference():
+    """The reverse pass assembles the forward-tangent matrix entry for entry,
+    over a small grid of depths 2-4 (width-1 layers such as
+    (2,1,2,1,2)/(2,3,2) among them), a depth-1 map and the tctc gauge, in a
+    small and a large prime field and over Q."""
+    bounds = dict(max_out_width=3, max_degree=3, max_free=40, max_ambient=60)
+    grid = (grid_architectures(ScanSpec(depths=(2, 3), max_width=3, **bounds))
+            + grid_architectures(ScanSpec(depths=(4,), max_width=2, **bounds)))
+    gmaps = [gauge_fix(arch) for arch in grid] + [
+        gauge_fix(validate((2, 3), ())),
+        gauge_fix(validate((2, 2, 2, 1), (3, 3)), mask=tctc_gauge_mask()),
+    ]
+    rng = random.Random(11)
+    for domain in (PrimeField(7919), auto_prime_field(1729), RATIONALS):
+        for gmap in gmaps:
+            while True:
+                # Small values keep the rational ranks inside jacobian_at cheap.
+                point = tuple(domain.sample(rng) if domain.p else Fraction(rng.randint(-9, 9))
+                              for _ in gmap.free)
+                try:
+                    sample = jacobian_at(gmap, point, domain)
+                    break
+                except PivotVanishes:
+                    continue
+            assert sample.matrix == tangent_jacobian(gmap, point, domain), gmap.arch.label()
 
 
 def test_rank_agrees_across_domains():
@@ -591,7 +618,7 @@ def test_defect_witness_linear_relation():
     rng = random.Random(64)
     for _ in range(20):
         vals = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(5)]
-        assert witness_relation(*vals).is_zero()
+        assert is_zero(witness_relation(*vals))
 
 
 def witness_relation(a1, a2, a3, b11, b12):

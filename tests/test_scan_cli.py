@@ -388,11 +388,14 @@ def test_cli_scan_respects_worker_env():
         (["scan", "--depths", "2", "--max-width", "2", "--prime", "5"], {}),
         (["veronese-secant", "-n", "3", "-d", "4", "-s", "5", "--prime", "101"], {}),
         (["dims", "-n", "2,2,1", "-d", "2", "--field", "rational", "--prime", "15"], {}),
+        (["scan", "--max-free", "-1"], {}),
+        (["scan", "--max-ambient", "-5"], {}),
     ],
     ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
          "check-depth-1", "seed-abc", "power-vars-1", "power-form-degree-0", "power-count-0",
          "power-negative", "depths-empty", "power-vars-0", "power-form-degree-negative",
-         "dims-prime-2", "dims-prime-3", "scan-prime-5", "secant-prime-101", "rational-prime"],
+         "dims-prime-2", "dims-prime-3", "scan-prime-5", "secant-prime-101", "rational-prime",
+         "scan-max-free-negative", "scan-max-ambient-negative"],
 )
 def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)

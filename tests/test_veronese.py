@@ -26,7 +26,7 @@ from neurovar.veronese import (
     power_independence,
     power_threshold_scan,
 )
-from oracle import evaluate, lattice_relations
+from oracle import evaluate, is_zero, lattice_relations, sub
 from support import reference_rank
 
 
@@ -88,7 +88,7 @@ def test_image_relations_double_conic():
     z = [ring.var(f"z{i}") for i in range(6)]
     # stage-2 coordinates are indexed by quadric monomials in lex order:
     # z0^2, z0 z1, z0 z2, z1^2, z1 z2, z2^2 -> relation is Z2 - Z3 up to scale
-    target = z[2] - z[3]
+    target = sub(z[2], z[3])
     got = basis[0]
     scale = None
     for m, c in target.terms.items():
@@ -222,7 +222,6 @@ def test_empirical_secant_cubic_sporadic_case():
     assert empirical_secant_dim(5, 3, 8, tries=10, seed=31) == 34 == expected_secant_dim(5, 3, 8)
 
 
-@pytest.mark.slow
 def test_empirical_secant_large_quartic_sporadics():
     assert empirical_secant_dim(4, 4, 9, tries=10, seed=31) == 33
     assert empirical_secant_dim(5, 4, 14, tries=10, seed=31) == 68
@@ -286,7 +285,7 @@ def test_power_independence_random_quadratics():
     while len(forms) < 4:
         terms = {m: Fraction(rng.randint(-9, 9)) for m in monos}
         p = SparsePoly(ring, {m: c for m, c in terms.items() if c})
-        if not p.is_zero():
+        if not is_zero(p):
             forms.append(p)
     ok, rank = power_independence(PowerInstance(tuple(forms), 3))
     assert ok and rank == 4
