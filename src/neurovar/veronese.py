@@ -25,7 +25,11 @@ drawn from the instance's seed: the k x k matrix of values p_i(x_j)^r modulo
 a prime is a linear image of the powers' coefficient rows, so rank k there
 proves the powers independent.  When that matrix is singular, the exact rank
 of the values p_i(x)^r at the lattice of degree s*r is the rank of the
-powers.
+powers.  One routine (`_rows_power_rank`) decides this on the forms' integer
+coefficient rows: `power_independence` calls it once it has validated and
+cleared its `SparsePoly` forms, and the random-instance lab
+`power_threshold_scan` draws its trials straight into rows and calls it for
+every power, with the monomials listed once per scan.
 """
 
 from __future__ import annotations
@@ -56,6 +60,18 @@ from .rank import (
 # stage of ambient 200 and 0.07 s for (5; 2, 2) of ambient 120 (2-core x86-64,
 # Python 3.11).  The largest ambient in the tests and the benchmark is 60.
 AMBIENT_CAP = 200
+
+# The power lab refuses a form space whose M monomials, listed as exponent
+# tuples, take more than this many steps, M * (vars + form degree): each
+# tuple is vars zeros plus form-degree increments.  A trial then draws and
+# evaluates M coefficients per form.  Up to the cap the scan stays cheap:
+# listing took 0.30 s and a two-form trial 2.4 s at 198 MB for the largest
+# case measured, 293,930 monomials of degree 12 in 10 variables (6.5e6 steps),
+# and 0.17 s and 0.74 s for linear forms in 3,000 variables (9.0e6 steps);
+# past it, linear forms in 10,000 variables (1.0e8 steps) took 2.7 s to list
+# and 9 s a trial at 791 MB (2-core x86-64, Python 3.11).  The criterion-8
+# cells have at most 10 monomials.
+POWER_LIST_CAP = 10**7
 
 
 def lattice_points(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -250,6 +266,28 @@ def _power_values(rows, monos, points, r: int, p: int) -> list[list[int]]:
     return values
 
 
+def _rows_power_rank(rows, monos, nvars: int, s: int, r: int, domain) -> tuple[bool, int]:
+    """`power_independence` of the degree-s forms in `nvars` variables with
+    pairwise non-proportional integer coefficient rows (reduced mod p over
+    F_p, cleared over Q) over `monos`, at the power r >= 0.
+
+    Raises ValueError over F_p when p <= s*r.  Certificate at k points drawn
+    from the rows and r, modulo the domain's prime or CERTIFICATE_FIELD's;
+    otherwise the exact rank at the lattice of degree s*r.
+    """
+    p = domain.p
+    if p and p <= s * r:
+        raise ValueError(f"power_independence over F_{p} needs p > s*r = {s * r}")
+    field = domain if p else CERTIFICATE_FIELD
+    q = field.p
+    k = len(rows)
+    certificate = _power_values(rows, monos, _certificate_points(rows, r, nvars, q), r, q)
+    if exact_rank(certificate, field) == k:
+        return True, k
+    rank = exact_rank(_power_values(rows, monos, lattice_points(nvars, s * r), r, p), domain)
+    return rank == k, rank
+
+
 def power_independence(inst: PowerInstance) -> tuple[bool, int]:
     """Whether p_1^r, ..., p_k^r are linearly independent, with the exact rank.
 
@@ -258,7 +296,8 @@ def power_independence(inst: PowerInstance) -> tuple[bool, int]:
     two input forms are linearly dependent (the instance precondition),
     detected on their integer coefficient rows (`_proportional`).  Over Q each
     form is first scaled to integer coefficients, which scales its power and
-    keeps (in)dependence.
+    keeps (in)dependence.  The validated rows are then decided by
+    `_rows_power_rank`, the routine `power_threshold_scan` runs on its own rows.
 
     Certificate first: the forms are evaluated at k points drawn from the
     instance's own seed, and each value is raised to r modulo a prime (the
@@ -276,25 +315,16 @@ def power_independence(inst: PowerInstance) -> tuple[bool, int]:
     if not forms:
         return True, 0
     ring = forms[0].ring
-    domain = ring.domain
     s = forms[0].total_degree()
     if any(sum(m) != s for f in forms for m in f.terms):
         raise ValueError(f"power_independence needs forms homogeneous of one degree s={s}")
     monos = monomials_of_degree(ring.nvars, s)
-    rows, p = _integer_rows([[f.terms.get(m, 0) for m in monos] for f in forms], domain)
+    rows, p = _integer_rows([[f.terms.get(m, 0) for m in monos] for f in forms], ring.domain)
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             if _proportional(rows[i], rows[j], p):
                 raise ProportionalPair(i, j)
-    if p and p <= s * r:
-        raise ValueError(f"power_independence over F_{p} needs p > s*r = {s * r}")
-    field = domain if p else CERTIFICATE_FIELD
-    q = field.p
-    certificate = _power_values(rows, monos, _certificate_points(rows, r, ring.nvars, q), r, q)
-    if exact_rank(certificate, field) == len(forms):
-        return True, len(forms)
-    rank = exact_rank(_power_values(rows, monos, lattice_points(ring.nvars, s * r), r, p), domain)
-    return rank == len(forms), rank
+    return _rows_power_rank(rows, monos, ring.nvars, s, r, ring.domain)
 
 
 @dataclass(frozen=True)
@@ -314,18 +344,6 @@ class PowerScanReport:
         return self.independent == self.trials
 
 
-def _random_instance(nvars, count, form_degree, domain, rng) -> list[SparsePoly]:
-    """Random pairwise non-proportional forms of the given degree."""
-    ring = Ring([f"z{i}" for i in range(nvars)], domain)
-    monos = monomials_of_degree(nvars, form_degree)
-    rows: list[list] = []
-    while len(rows) < count:
-        row = [domain.sample(rng) for _ in monos]
-        if any(row) and not any(_proportional(row, r, domain.p) for r in rows):
-            rows.append(row)
-    return [SparsePoly(ring, {m: c for m, c in zip(monos, row) if c}) for row in rows]
-
-
 def power_threshold_scan(
     nvars: int,
     count: int,
@@ -341,10 +359,18 @@ def power_threshold_scan(
     `find_min_power` it also records, per instance, the least r at which the
     powers become independent (linear scan from 1).
 
+    Each trial draws `count` pairwise non-proportional coefficient rows
+    straight from its own stream (one `domain.sample` per coefficient,
+    redrawing zero and proportional rows), and every power tried is decided
+    on them by `_rows_power_rank`, the routine behind `power_independence`.
+
     Raises ValueError, naming the inputs, for vars below 1, a negative form
     degree, a count below 1 or a negative power, and when two or more forms
     are asked of a single monomial (one variable, or form degree 0), where no
-    pairwise non-proportional forms exist.
+    pairwise non-proportional forms exist.  Raises AmbientTooLarge, naming
+    vars and form degree, for a form space whose M monomials would take more
+    than POWER_LIST_CAP steps, M * (vars + form degree), to list; M is counted
+    before any is listed.
     """
     if nvars < 1:
         raise ValueError(f"vars={nvars}: nvars must be >= 1")
@@ -354,30 +380,47 @@ def power_threshold_scan(
         raise ValueError("trials must be >= 1")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if count > 1 and len(monomials_of_degree(nvars, form_degree)) == 1:
+    # M = binom(a + d, d) is counted as binom(a + d, i) for i up to min(a, d),
+    # which is at least 2**i, so the loop passes the cap within a few dozen
+    # steps and no huge binomial is formed.
+    a, steps, monomials = nvars - 1, nvars + form_degree, 1
+    for i in range(min(a, form_degree) + 1):
+        if i:
+            monomials = monomials * (a + form_degree + 1 - i) // i
+        if monomials * steps > POWER_LIST_CAP:
+            raise AmbientTooLarge(
+                f"vars={nvars} and form degree={form_degree}: listing at least "
+                f"{monomials} monomials of {steps} steps each passes the power lab's "
+                f"cap of {POWER_LIST_CAP} steps"
+            )
+    if count > 1 and (nvars == 1 or form_degree == 0):
         raise ValueError(
             f"count={count} needs pairwise non-proportional forms, but vars={nvars} "
             f"and form degree={form_degree} leave a single monomial"
         )
     if power is None:
         power = count - 1
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
     domain = auto_prime_field(derive_seed(seed, "power-domain"))
+    p = domain.p
+    monos = monomials_of_degree(nvars, form_degree)
     independent = 0
     mins: list[int] = []
     for t in range(trials):
         rng = random.Random(derive_seed(seed, "power", t))
-        forms = _random_instance(nvars, count, form_degree, domain, rng)
-        ok, _ = power_independence(PowerInstance(tuple(forms), power))
-        if ok:
+        rows: list[list[int]] = []
+        while len(rows) < count:
+            row = [domain.sample(rng) for _ in monos]
+            if any(row) and not any(_proportional(row, u, p) for u in rows):
+                rows.append(row)
+        if _rows_power_rank(rows, monos, nvars, form_degree, power, domain)[0]:
             independent += 1
         if find_min_power:
             r = 1
-            while True:
-                got, _ = power_independence(PowerInstance(tuple(forms), r))
-                if got:
-                    mins.append(r)
-                    break
+            while not _rows_power_rank(rows, monos, nvars, form_degree, r, domain)[0]:
                 r += 1
+            mins.append(r)
     return PowerScanReport(
         nvars=nvars,
         count=count,

@@ -20,12 +20,18 @@ tests need.
 image: the kernel (`nullspace`, by elimination) of the chain evaluated at the
 principal lattice.
 
+`reference_power_scan` is the per-trial route of the criterion-8 power lab,
+the reference for `veronese.power_threshold_scan`: each trial's forms are
+built as `SparsePoly` objects (`_random_instance`) and every power is decided
+by the public `power_independence` on a `PowerInstance`.
+
 Coefficients are combined with plain `+`, `-` and `*` and reduced modulo the
 ring's characteristic p when p > 0, independently of `SparsePoly`'s own
 arithmetic.
 """
 
 import math
+import random
 from fractions import Fraction
 from typing import Mapping
 
@@ -33,8 +39,14 @@ from neurovar.domains import RATIONALS
 from neurovar.errors import PivotVanishes
 from neurovar.network import gauge_fix
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree
-from neurovar.rank import _echelon, _forward_cached, _integer_rows
-from neurovar.veronese import lattice_points
+from neurovar.rank import _echelon, _forward_cached, _integer_rows, auto_prime_field, derive_seed
+from neurovar.veronese import (
+    PowerInstance,
+    PowerScanReport,
+    _proportional,
+    lattice_points,
+    power_independence,
+)
 
 
 def weight_name(layer, row, col):
@@ -199,6 +211,42 @@ def lattice_relations(cv):
     unit = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
     return [SparsePoly(ring, {unit[i]: c for i, c in enumerate(vec) if c})
             for vec in nullspace(rows, RATIONALS)]
+
+
+def _random_instance(nvars, count, form_degree, domain, rng) -> list[SparsePoly]:
+    """Random pairwise non-proportional forms of the given degree."""
+    ring = Ring([f"z{i}" for i in range(nvars)], domain)
+    monos = monomials_of_degree(nvars, form_degree)
+    rows: list[list] = []
+    while len(rows) < count:
+        row = [domain.sample(rng) for _ in monos]
+        if any(row) and not any(_proportional(row, r, domain.p) for r in rows):
+            rows.append(row)
+    return [SparsePoly(ring, {m: c for m, c in zip(monos, row) if c}) for row in rows]
+
+
+def reference_power_scan(nvars, count, form_degree, trials, seed, power=None,
+                         find_min_power=False) -> PowerScanReport:
+    """`power_threshold_scan` on valid input, trial by trial through
+    `_random_instance` and `power_independence`, one `PowerInstance` per
+    trial and per power tried."""
+    if power is None:
+        power = count - 1
+    domain = auto_prime_field(derive_seed(seed, "power-domain"))
+    independent = 0
+    mins = []
+    for t in range(trials):
+        rng = random.Random(derive_seed(seed, "power", t))
+        forms = tuple(_random_instance(nvars, count, form_degree, domain, rng))
+        if power_independence(PowerInstance(forms, power))[0]:
+            independent += 1
+        if find_min_power:
+            r = 1
+            while not power_independence(PowerInstance(forms, r))[0]:
+                r += 1
+            mins.append(r)
+    return PowerScanReport(nvars, count, form_degree, power, trials, independent,
+                           tuple(mins) if find_min_power else None)
 
 
 def const(ring, value):

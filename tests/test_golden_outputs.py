@@ -3,8 +3,9 @@
 Each case runs `neurovar.cli.main` in-process and compares its stdout with a
 recorded file in tests/golden/.  The scan's `wall_ms` column is a timing, so
 it is blanked before the comparison.  A change that alters any of these bytes
-changes a reported answer or its format; re-record a file
-(`python tests/test_golden_outputs.py`) only when that is the intent.
+changes a reported answer or its format.  `python tests/test_golden_outputs.py`
+records the cases that have no file yet and leaves existing files alone; to
+re-pin a file when changed bytes are the intent, delete it first.
 """
 
 import contextlib
@@ -38,6 +39,14 @@ CASES = {
                                        "--field", "rational"],
     "power-indep-3-4-2-find-min-json": ["power-indep", "--vars", "3", "--count", "4",
                                         "--form-degree", "2", "--find-min", "--json"],
+    "power-indep-3-6-2": ["power-indep", "--vars", "3", "--count", "6", "--form-degree", "2"],
+    "power-indep-2-6-3-json": ["power-indep", "--vars", "2", "--count", "6",
+                               "--form-degree", "3", "--json"],
+    "power-indep-2-5-1-power-2": ["power-indep", "--vars", "2", "--count", "5",
+                                  "--form-degree", "1", "--power", "2"],
+    "power-indep-3-5-2-find-min-trials-10": ["power-indep", "--vars", "3", "--count", "5",
+                                             "--form-degree", "2", "--find-min",
+                                             "--trials", "10"],
     "relations-3-22": ["relations", "-n", "3", "-d", "2,2"],
     "scan-d2-w3-csv": ["scan", "--depths", "2", "--max-width", "3", "--csv"],
 }
@@ -67,18 +76,41 @@ def test_cli_output_matches_golden(name, monkeypatch, capsys):
     assert _stdout(CASES[name], capsys) == expected
 
 
-def _record() -> None:
-    """Write every case's current stdout to tests/golden/."""
+def _record() -> list[str]:
+    """Write the current stdout of each case that has no file in GOLDEN yet;
+    return the names written."""
     GOLDEN.mkdir(exist_ok=True)
+    written = []
     for name, argv in sorted(CASES.items()):
+        path = GOLDEN / f"{name}.out"
+        if path.exists():
+            continue
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             assert main(argv) == 0, name
         text = buf.getvalue()
-        (GOLDEN / f"{name}.out").write_text(
-            _blank_wall_ms(text) if "--csv" in argv else text, encoding="utf-8"
-        )
+        path.write_text(_blank_wall_ms(text) if "--csv" in argv else text, encoding="utf-8")
+        written.append(name)
+    return written
+
+
+def test_record_writes_missing_files_only(monkeypatch, tmp_path):
+    monkeypatch.delenv("NV_SEED", raising=False)
+    monkeypatch.delenv("NV_THREADS", raising=False)
+    recorded = GOLDEN
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "CASES", {
+        "relations-3-22": CASES["relations-3-22"],
+        "power-indep-2-5-1-power-2": CASES["power-indep-2-5-1-power-2"],
+    })
+    stale = tmp_path / "relations-3-22.out"
+    stale.write_text("stale\n", encoding="utf-8")
+    assert _record() == ["power-indep-2-5-1-power-2"]
+    assert stale.read_text(encoding="utf-8") == "stale\n"
+    assert (tmp_path / "power-indep-2-5-1-power-2.out").read_bytes() == \
+        (recorded / "power-indep-2-5-1-power-2.out").read_bytes()
 
 
 if __name__ == "__main__":
-    sys.exit(_record())
+    for name in _record():
+        print(f"wrote {name}.out")

@@ -445,6 +445,18 @@ def test_cli_relations_refuses_ambient_past_cap(degrees, monkeypatch, capsys):
     assert err.startswith("error: stage ambient ") and err.count("\n") == 1, err
 
 
+def test_cli_power_indep_refuses_form_space_past_cap(monkeypatch, capsys):
+    # Counted, not listed: exit 1 with one line naming the inputs.
+    def unlisted(*args):
+        raise AssertionError("monomials listed for a form space past the cap")
+
+    monkeypatch.setattr(veronese_module, "monomials_of_degree", unlisted)
+    assert main(["power-indep", "--vars", "20", "--count", "2", "--form-degree", "20",
+                 "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: vars=20 and form degree=20: ") and err.count("\n") == 1, err
+
+
 def test_cli_scan_defaults_are_scan_spec_defaults(monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)
     specs = []

@@ -26,7 +26,7 @@ from neurovar.veronese import (
     power_independence,
     power_threshold_scan,
 )
-from oracle import evaluate, is_zero, lattice_relations, sub
+from oracle import _random_instance, evaluate, is_zero, lattice_relations, reference_power_scan, sub
 from support import reference_rank
 
 
@@ -369,8 +369,6 @@ def test_power_independence_monotone_in_power():
     assert report.min_powers is not None
     domain = auto_prime_field(0)
     rng = random.Random(99)
-    from neurovar.veronese import _random_instance
-
     for t, min_r in enumerate(report.min_powers):
         forms = tuple(_random_instance(2, 4, 2, domain, random.Random(rng.randint(0, 9999))))
         base = None
@@ -381,6 +379,24 @@ def test_power_independence_monotone_in_power():
             if base is not None and r >= base:
                 assert ok
         assert min_r <= 3  # proven threshold k-1 for k = 4
+
+
+# Criterion 8's grid: vars, count k and form degree s.
+_CRITERION_8_CELLS = [(nv, k, s) for nv in (2, 3) for k in range(2, 7) for s in (1, 2, 3)]
+
+
+def test_power_threshold_scan_matches_per_trial_reference():
+    # The row-level scan reports what building each trial's forms and calling
+    # power_independence per power reports, at the threshold on every cell
+    # and at r = 1 and the least independent r on the cells with k <= 4.
+    seed = 613
+    for nv, k, s in _CRITERION_8_CELLS:
+        runs = [{}]
+        if k <= 4:
+            runs += [{"power": 1}, {"find_min_power": True}]
+        for kwargs in runs:
+            assert power_threshold_scan(nv, k, s, trials=10, seed=seed, **kwargs) == \
+                reference_power_scan(nv, k, s, trials=10, seed=seed, **kwargs), (nv, k, s, kwargs)
 
 
 # -- the evaluation certificate against the expansion route ---------------------------
@@ -491,6 +507,15 @@ def test_lab_never_multiplies_or_powers_polynomials(monkeypatch):
     for forms, r, rank in dependent:
         assert power_independence(PowerInstance(forms, r)) == (False, rank)
 
+    # The power lab draws its trials as coefficient rows: no polynomial at all.
+    def no_poly(*args):
+        raise AssertionError("the power scan built a polynomial")
+
+    monkeypatch.setattr(veronese_module, "SparsePoly", no_poly)
+    assert power_threshold_scan(2, 4, 1, trials=5, seed=5, find_min_power=True).min_powers == (3,) * 5
+    assert power_threshold_scan(3, 5, 2, trials=5, seed=5).all_independent
+    assert power_threshold_scan(2, 5, 1, trials=5, seed=5, power=2).independent == 0
+
 
 def test_power_independence_refuses_primes_up_to_s_times_r():
     # The lattice of degree s*r needs p > s*r; at p = 7 quadrics reach r = 3.
@@ -526,6 +551,34 @@ def test_power_independence_rejects_bad_instances():
 def test_power_threshold_scan_rejects_bad_input(nvars, count, form_degree, power, message):
     with pytest.raises(ValueError, match=message):
         power_threshold_scan(nvars, count, form_degree, trials=3, seed=8, power=power)
+
+
+@pytest.mark.parametrize("nvars, form_degree", [(20, 20), (10, 13), (2, 10**7), (10**7, 1),
+                                                (10**6, 10**6)])
+def test_power_threshold_scan_refuses_form_space_past_cap(nvars, form_degree, monkeypatch):
+    # The form space is counted, not listed: the C(39, 20) ~ 6.9e10 monomials
+    # of degree 20 in 20 variables would never finish enumerating.
+    def unlisted(*args):
+        raise AssertionError("monomials listed for a form space past the cap")
+
+    monkeypatch.setattr(veronese_module, "monomials_of_degree", unlisted)
+    with pytest.raises(AmbientTooLarge, match=f"^vars={nvars} and form degree={form_degree}: "):
+        power_threshold_scan(nvars, 2, form_degree, trials=1, seed=8)
+
+
+def test_power_threshold_scan_cap_counts_monomials_times_steps(monkeypatch):
+    # Linear forms in n variables list n monomials of n + 1 steps each.
+    monkeypatch.setattr(veronese_module, "POWER_LIST_CAP", 200 * 201)
+    assert power_threshold_scan(200, 2, 1, trials=1, seed=8).all_independent
+    with pytest.raises(AmbientTooLarge, match="^vars=201 and form degree=1: "):
+        power_threshold_scan(201, 2, 1, trials=1, seed=8)
+
+
+@pytest.mark.parametrize("nvars, form_degree", [(3, 20), (201, 1), (2, 200)])
+def test_power_threshold_scan_accepts_form_spaces_past_ambient_cap(nvars, form_degree):
+    # More monomials than the relations' AMBIENT_CAP, but cheap to list and scan.
+    assert math.comb(nvars - 1 + form_degree, form_degree) > veronese_module.AMBIENT_CAP
+    assert power_threshold_scan(nvars, 3, form_degree, trials=2, seed=8).all_independent
 
 
 @pytest.mark.parametrize("nvars, form_degree, named", [(0, 1, "vars=0: "), (2, -1, "form degree=-1: ")])
