@@ -129,7 +129,6 @@ class GaugedMap:
     """
 
     arch: Architecture
-    mask: GaugeMask
     free: tuple[tuple[int, int, int], ...]
 
     @property
@@ -160,4 +159,4 @@ def gauge_fix(arch: Architecture, mask: GaugeMask | None = None) -> GaugedMap:
         mask = last_column_gauge(arch)
     fixed = [set(layer) for layer in mask]
     free = tuple(pos for pos in weight_positions(arch) if pos[1:] not in fixed[pos[0] - 1])
-    return GaugedMap(arch, mask, free)
+    return GaugedMap(arch, free)

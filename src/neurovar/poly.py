@@ -47,6 +47,16 @@ def monomials_of_degree(nvars: int, deg: int) -> list[Monomial]:
     return out
 
 
+def count_monomials(nvars: int, deg: int, cap: int) -> int:
+    """binom(nvars-1+deg, deg), the number of degree-`deg` monomials in `nvars`
+    variables, if it is at most `cap`; else the first binom(nvars-1+deg, i),
+    i = 0, 1, ..., past `cap` (at least 2**i, so no huge binomial is formed)."""
+    count, i = 1, 1
+    while count <= cap and i <= min(nvars - 1, deg):
+        count, i = count * (nvars + deg - i) // i, i + 1
+    return count
+
+
 class Ring:
     """A polynomial ring with named variables over an exact field.
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from .domains import RATIONALS
 from .errors import AmbientTooLarge, ProportionalPair
 from .network import gauge_fix, validate
-from .poly import Monomial, Ring, SparsePoly, monomials_of_degree
+from .poly import Monomial, Ring, SparsePoly, count_monomials, monomials_of_degree
 from .rank import (
     CERTIFICATE_FIELD,
     DEFAULT_SEED,
@@ -130,7 +130,7 @@ def composite_veronese(nvars: int, degrees) -> CompositeVeronese:
     """Build the chain nu_{e_m} o ... o nu_{e_1} on `nvars` source variables.
 
     Raises AmbientTooLarge when a stage would have more than AMBIENT_CAP
-    coordinates, before enumerating that stage's monomials.
+    coordinates, counting that stage's monomials only up to the cap.
     """
     if nvars < 2:
         raise ValueError("composite Veronese needs at least 2 source variables")
@@ -140,12 +140,11 @@ def composite_veronese(nvars: int, degrees) -> CompositeVeronese:
     dims = [nvars]
     stages = []
     for e in degrees:
-        count = math.comb(dims[-1] - 1 + e, e)
+        count = count_monomials(dims[-1], e, AMBIENT_CAP)
         if count > AMBIENT_CAP:
-            raise AmbientTooLarge(f"stage ambient {count} exceeds the cap {AMBIENT_CAP}")
-        monos = monomials_of_degree(dims[-1], e)
-        stages.append(tuple(monos))
-        dims.append(len(monos))
+            raise AmbientTooLarge(f"stage ambient of at least {count} exceeds the cap {AMBIENT_CAP}")
+        stages.append(tuple(monomials_of_degree(dims[-1], e)))
+        dims.append(count)
     return CompositeVeronese(nvars, degrees, tuple(stages), tuple(dims))
 
 
@@ -380,19 +379,14 @@ def power_threshold_scan(
         raise ValueError("trials must be >= 1")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # M = binom(a + d, d) is counted as binom(a + d, i) for i up to min(a, d),
-    # which is at least 2**i, so the loop passes the cap within a few dozen
-    # steps and no huge binomial is formed.
-    a, steps, monomials = nvars - 1, nvars + form_degree, 1
-    for i in range(min(a, form_degree) + 1):
-        if i:
-            monomials = monomials * (a + form_degree + 1 - i) // i
-        if monomials * steps > POWER_LIST_CAP:
-            raise AmbientTooLarge(
-                f"vars={nvars} and form degree={form_degree}: listing at least "
-                f"{monomials} monomials of {steps} steps each passes the power lab's "
-                f"cap of {POWER_LIST_CAP} steps"
-            )
+    steps = nvars + form_degree
+    monomials = count_monomials(nvars, form_degree, POWER_LIST_CAP // steps)
+    if monomials * steps > POWER_LIST_CAP:
+        raise AmbientTooLarge(
+            f"vars={nvars} and form degree={form_degree}: listing at least "
+            f"{monomials} monomials of {steps} steps each passes the power lab's "
+            f"cap of {POWER_LIST_CAP} steps"
+        )
     if count > 1 and (nvars == 1 or form_degree == 0):
         raise ValueError(
             f"count={count} needs pairwise non-proportional forms, but vars={nvars} "

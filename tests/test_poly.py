@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neurovar.domains import PrimeField, RATIONALS
-from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_pow
+from neurovar.poly import Ring, SparsePoly, count_monomials, monomials_of_degree, poly_pow
 from oracle import const, evaluate, neg, partial, sub
 
 PRIME = PrimeField((1 << 61) - 1)
@@ -37,6 +37,21 @@ def test_monomials_of_degree_count_and_order(nvars, deg):
     assert len(monos) == math.comb(nvars - 1 + deg, nvars - 1)
     assert monos == sorted(monos, reverse=True)
     assert all(sum(m) == deg for m in monos)
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_count_monomials_is_the_binomial_up_to_the_cap(nvars):
+    for deg in range(13):
+        total = math.comb(nvars - 1 + deg, deg)
+        partials = [math.comb(nvars - 1 + deg, i) for i in range(min(nvars - 1, deg) + 1)]
+        for cap in {0, total // 2, total - 1, total, total + 1, 10 * total}:
+            count = count_monomials(nvars, deg, cap)
+            if total <= cap:
+                assert count == total
+            else:
+                # The first partial binomial past the cap: a lower bound.
+                assert count == next(c for c in partials if c > cap)
+                assert cap < count <= total
 
 
 def test_poly_pow_binomial_square():

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,14 @@ from neurovar.theory import ah_secant_defective
 
 
 # -- scan ---------------------------------------------------------------------------
+
+
+def test_neurovar_scan_names_the_module():
+    # The package root re-exports nothing, so no `scan` function shadows it.
+    import neurovar.scan as scan_module
+
+    assert isinstance(scan_module, types.ModuleType)
+    assert scan_module.scan is scan
 
 
 def test_scan_depth_three_grid_contains_defective_row():

@@ -56,8 +56,9 @@ def test_composite_veronese_plane_quadrics():
 
 
 def test_composite_veronese_rejects_huge_ambient():
-    # Stage 2 would have binom(10, 5) = 252 coordinates, past the cap of 200.
-    with pytest.raises(AmbientTooLarge, match="stage ambient 252 exceeds the cap 200"):
+    # Stage 2 would have binom(10, 5) = 252 coordinates, past the cap of 200;
+    # counting stops at the first partial binomial past it, binom(10, 4) = 210.
+    with pytest.raises(AmbientTooLarge, match="stage ambient of at least 210 exceeds the cap 200"):
         composite_veronese(3, [2, 5])
 
 
@@ -65,8 +66,19 @@ def test_composite_veronese_default_cap_admits_only_affordable_kernels():
     # Ambient 55 (the largest chain in the benchmark) passes; ambient
     # 53,130 is refused before its monomials are listed.
     assert composite_veronese(4, [2, 2]).ambient == 55
-    with pytest.raises(AmbientTooLarge, match="stage ambient 53130 exceeds the cap 200"):
+    with pytest.raises(AmbientTooLarge, match="stage ambient of at least 300 exceeds the cap 200"):
         composite_veronese(2, [5, 20])
+
+
+def test_composite_veronese_refuses_huge_stage_without_its_binomial(monkeypatch):
+    # binom(2*10**6 - 1, 10**6) alone takes tens of seconds to form; the
+    # count stops at the first partial binomial past the cap.
+    def unformed(*args):
+        raise AssertionError("math.comb called on a stage past the cap")
+
+    monkeypatch.setattr(math, "comb", unformed)
+    with pytest.raises(AmbientTooLarge, match="stage ambient of at least 1999999 exceeds"):
+        composite_veronese(10**6, [10**6])
 
 
 def test_composite_veronese_rejects_bad_input():
