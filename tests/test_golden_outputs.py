@@ -48,6 +48,8 @@ CASES = {
                                              "--form-degree", "2", "--find-min",
                                              "--trials", "10"],
     "relations-3-22": ["relations", "-n", "3", "-d", "2,2"],
+    "relations-3-22-json": ["relations", "-n", "3", "-d", "2,2", "--json"],
+    "relations-2-222": ["relations", "-n", "2", "-d", "2,2,2"],
     "scan-d2-w3-csv": ["scan", "--depths", "2", "--max-width", "3", "--csv"],
 }
 
