@@ -274,17 +274,17 @@ def cmd_power_indep(args) -> int:
 def cmd_relations(args) -> int:
     seed = _resolve_seed(args)
     cv = composite_veronese(args.nvars, _int_list(args.degrees))
-    basis = image_linear_relations(cv, seed=seed)
+    relations = [f"-1*z{c} + 1*z{f}" for c, f in image_linear_relations(cv, seed=seed)]
     record = {
         "nvars": args.nvars,
         "degrees": _int_list(args.degrees),
         "ambient": cv.ambient,
-        "kernel_dim": len(basis),
-        "relations": [str(b) for b in basis],
+        "kernel_dim": len(relations),
+        "relations": relations,
         "seed": seed,
     }
-    lines = [f"ambient coordinates: {cv.ambient}", f"kernel dimension: {len(basis)}"]
-    _emit(args, record, lines + [f"  {b}" for b in basis])
+    lines = [f"ambient coordinates: {cv.ambient}", f"kernel dimension: {len(relations)}"]
+    _emit(args, record, lines + [f"  {rel}" for rel in relations])
     return 0
 
 

@@ -12,8 +12,8 @@ Monomials are compared lexicographically on the exponent tuple (x0 before x1
 before ...), which for a fixed total degree gives the order
 [x^d, x^(d-1)y, ..., y^d] used everywhere in this package for coefficient
 indexing.  Products and powers serve the Jacobian's forward value pass and
-reverse (adjoint) pass; the Veronese lab only lists monomials and holds forms
-here, and evaluates them at points itself.
+reverse (adjoint) pass; the Veronese lab only lists and counts monomials here,
+and holds its forms as coefficient rows over `monomials_of_degree`.
 """
 
 from __future__ import annotations
@@ -99,12 +99,6 @@ class Ring:
             and other.domain == self.domain
         )
 
-    def __hash__(self):
-        return hash((self.names, self.domain))
-
-    def __repr__(self):
-        return f"Ring({list(self.names)}, {self.domain!r})"
-
 
 class SparsePoly:
     """Immutable sparse polynomial; do not mutate `terms` after construction."""
@@ -172,33 +166,6 @@ class SparsePoly:
             and other.ring == self.ring
             and other.terms == self.terms
         )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    # -- queries -------------------------------------------------------------
-
-    def total_degree(self) -> int:
-        """Max term degree; 0 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=0)
-
-    def terms_sorted(self) -> list[tuple[Monomial, object]]:
-        """Terms in canonical (lexicographically descending) order."""
-        return sorted(self.terms.items(), reverse=True)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.terms_sorted():
-            factors = [
-                f"{n}^{e}" if e > 1 else n
-                for n, e in zip(self.ring.names, m)
-                if e
-            ]
-            mono = "*".join(factors) if factors else "1"
-            parts.append(f"{c}*{mono}" if factors else f"{c}")
-        return " + ".join(parts)
 
 
 def poly_pow(p: SparsePoly, e: int) -> SparsePoly:

@@ -138,10 +138,10 @@ def report_record(arch: Architecture, report: DimReport | None, verdict: str | N
 
 
 def grid_architectures(spec: ScanSpec) -> list[Architecture]:
-    """All architectures inside the bounds, sorted by (L, widths, degrees)."""
+    """All architectures inside the bounds, each once, sorted by (L, widths, degrees)."""
     spec.validate_bounds()
     archs = []
-    for L in sorted(spec.depths):
+    for L in sorted(set(spec.depths)):
         width_ranges = [range(spec.min_width, spec.max_width + 1)] * L
         out_range = range(1, min(spec.max_width, spec.max_out_width) + 1)
         for widths in product(*width_ranges):

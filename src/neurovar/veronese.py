@@ -26,10 +26,11 @@ a prime is a linear image of the powers' coefficient rows, so rank k there
 proves the powers independent.  When that matrix is singular, the exact rank
 of the values p_i(x)^r at the lattice of degree s*r is the rank of the
 powers.  One routine (`_rows_power_rank`) decides this on the forms' integer
-coefficient rows: `power_independence` calls it once it has validated and
-cleared its `SparsePoly` forms, and the random-instance lab
+coefficient rows: `power_independence` calls it once it has checked and
+cleared the coefficient rows it is given, and the random-instance lab
 `power_threshold_scan` draws its trials straight into rows and calls it for
-every power, with the monomials listed once per scan.
+every power, with the monomials listed once per scan.  No polynomial object
+is built here: a form is a coefficient row, a relation a coordinate pair.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .domains import RATIONALS
 from .errors import AmbientTooLarge, ProportionalPair
 from .network import gauge_fix, validate
-from .poly import Monomial, Ring, SparsePoly, count_monomials, monomials_of_degree
+from .poly import Monomial, count_monomials, monomials_of_degree
 from .rank import (
     CERTIFICATE_FIELD,
     DEFAULT_SEED,
@@ -158,12 +158,13 @@ def _source_exponents(cv: CompositeVeronese) -> list[Monomial]:
     return exps
 
 
-def image_linear_relations(cv: CompositeVeronese, seed: int = DEFAULT_SEED) -> list[SparsePoly]:
+def image_linear_relations(cv: CompositeVeronese, seed: int = DEFAULT_SEED) -> list[tuple[int, int]]:
     """Basis of the linear forms vanishing on the image of the composite map.
 
-    As linear forms in coordinates z0..z_{ambient-1}: z_f - z_c for each
-    coordinate f, in order, whose source monomial (`_source_exponents`)
-    repeats that of an earlier coordinate c, the first of that monomial.
+    As linear forms in coordinates z0..z_{ambient-1}: z_f - z_c, given as the
+    pair (c, f), for each coordinate f, in order, whose source monomial
+    (`_source_exponents`) repeats that of an earlier coordinate c < f, the
+    first of that monomial.
     A form vanishes on the image exactly when its coefficients sum to zero
     on every monomial's coordinates, and these relations span those forms.
     This is the reduced kernel basis, by elimination, of the chain
@@ -178,18 +179,14 @@ def image_linear_relations(cv: CompositeVeronese, seed: int = DEFAULT_SEED) -> l
     for f, e in enumerate(_source_exponents(cv)):
         c = first.setdefault(e, f)
         if c != f:
-            relations.append({c: -1, f: 1})
+            relations.append((c, f))
 
     rng = random.Random(derive_seed(seed, "relations"))
     for _ in range(50):
         img = cv.evaluate([rng.randint(-99, 99) for _ in range(cv.nvars)])
-        if any(sum(a * img[i] for i, a in rel.items()) for rel in relations):
+        if any(img[f] != img[c] for c, f in relations):
             raise AssertionError("computed relation does not vanish on the image")
-
-    ambient = cv.ambient
-    ring = Ring([f"z{i}" for i in range(ambient)], RATIONALS)
-    unit = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
-    return [SparsePoly(ring, {unit[i]: a for i, a in rel.items()}) for rel in relations]
+    return relations
 
 
 def empirical_secant_dim(
@@ -205,23 +202,14 @@ def empirical_secant_dim(
     Routed through the depth-2 network machinery: the (nvars, s, 1)
     architecture with activation degree `deg` parameterizes s-term sums of
     d-th powers of linear forms, and the gauged Jacobian rank at a random
-    point equals the projective secant dimension.
+    point equals the projective secant dimension.  With `domain` None it
+    samples over `generic_rank`'s default, the seed's `auto_prime_field`.
     """
     if s < 1:
         raise ValueError("secant order s must be >= 1")
     arch = validate((nvars, s, 1), (deg,))
-    if domain is None:
-        domain = auto_prime_field(seed)
     rank, _ = generic_rank(gauge_fix(arch), tries=tries, seed=seed, domain=domain)
     return rank
-
-
-@dataclass(frozen=True)
-class PowerInstance:
-    """Homogeneous forms p_1..p_k of one degree, to be raised to the r-th power."""
-
-    forms: tuple[SparsePoly, ...]
-    power: int
 
 
 def _proportional(u, v, p: int) -> bool:
@@ -287,16 +275,17 @@ def _rows_power_rank(rows, monos, nvars: int, s: int, r: int, domain) -> tuple[b
     return rank == k, rank
 
 
-def power_independence(inst: PowerInstance) -> tuple[bool, int]:
+def power_independence(rows, nvars: int, s: int, r: int, domain) -> tuple[bool, int]:
     """Whether p_1^r, ..., p_k^r are linearly independent, with the exact rank.
 
-    The forms must be homogeneous of one degree s, and r >= 0; over F_p the
-    prime must exceed s*r (ValueError otherwise).  Raises ProportionalPair if
-    two input forms are linearly dependent (the instance precondition),
-    detected on their integer coefficient rows (`_proportional`).  Over Q each
-    form is first scaled to integer coefficients, which scales its power and
-    keeps (in)dependence.  The validated rows are then decided by
-    `_rows_power_rank`, the routine `power_threshold_scan` runs on its own rows.
+    Each form p_i of degree s in `nvars` variables is given as its coefficient
+    row over `monomials_of_degree(nvars, s)`, with entries in `domain`.  Raises
+    ValueError for r < 0, for a row of another length, and over F_p when
+    p <= s*r.  Raises ProportionalPair if two rows are proportional (the
+    instance precondition, `_proportional`).  The rows are first reduced mod p
+    or, over Q, each scaled to integers, which scales its power and keeps
+    (in)dependence; `_rows_power_rank`, the routine `power_threshold_scan`
+    runs on its own rows, then decides.
 
     Certificate first: the forms are evaluated at k points drawn from the
     instance's own seed, and each value is raised to r modulo a prime (the
@@ -307,23 +296,19 @@ def power_independence(inst: PowerInstance) -> tuple[bool, int]:
     happens to vanish) the rank of the values p_i(x)^r at the lattice of
     degree s*r, exact over Q, is the rank of the powers (`lattice_points`).
     """
-    r = inst.power
     if r < 0:
         raise ValueError(f"power must be >= 0, got {r}")
-    forms = inst.forms
-    if not forms:
-        return True, 0
-    ring = forms[0].ring
-    s = forms[0].total_degree()
-    if any(sum(m) != s for f in forms for m in f.terms):
-        raise ValueError(f"power_independence needs forms homogeneous of one degree s={s}")
-    monos = monomials_of_degree(ring.nvars, s)
-    rows, p = _integer_rows([[f.terms.get(m, 0) for m in monos] for f in forms], ring.domain)
+    monos = monomials_of_degree(nvars, s)
+    for i, row in enumerate(rows):
+        if len(row) != len(monos):
+            raise ValueError(f"row {i} has {len(row)} coefficients, but degree {s} in "
+                             f"{nvars} variables has {len(monos)} monomials")
+    rows, p = _integer_rows(rows, domain)
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             if _proportional(rows[i], rows[j], p):
                 raise ProportionalPair(i, j)
-    return _rows_power_rank(rows, monos, ring.nvars, s, r, ring.domain)
+    return _rows_power_rank(rows, monos, nvars, s, r, domain)
 
 
 @dataclass(frozen=True)

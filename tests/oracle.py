@@ -18,12 +18,13 @@ tests need.
 
 `lattice_relations` is the oracle for the relations on a composite Veronese
 image: the kernel (`nullspace`, by elimination) of the chain evaluated at the
-principal lattice.
+principal lattice, as coefficient vectors.
 
 `reference_power_scan` is the per-trial route of the criterion-8 power lab,
 the reference for `veronese.power_threshold_scan`: each trial's forms are
-built as `SparsePoly` objects (`_random_instance`) and every power is decided
-by the public `power_independence` on a `PowerInstance`.
+built as `SparsePoly` objects (`_random_instance`), cleared to their
+coefficient rows (`coefficient_rows`), and every power is decided by the
+public `power_independence` on those rows.
 
 Coefficients are combined with plain `+`, `-` and `*` and reduced modulo the
 ring's characteristic p when p > 0, independently of `SparsePoly`'s own
@@ -41,7 +42,6 @@ from neurovar.network import gauge_fix
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree
 from neurovar.rank import _echelon, _forward_cached, _integer_rows, auto_prime_field, derive_seed
 from neurovar.veronese import (
-    PowerInstance,
     PowerScanReport,
     _proportional,
     lattice_points,
@@ -202,15 +202,12 @@ def nullspace(rows, domain) -> list[list]:
 
 def lattice_relations(cv):
     """The linear forms in z0..z_{ambient-1} vanishing on the image of the
-    composite Veronese `cv`: `nullspace`'s reduced basis of the kernel of
-    the chain evaluated at the lattice of degree prod(degrees), where a form
-    vanishes exactly when its degree-D pullback does."""
+    composite Veronese `cv`, as coefficient vectors: `nullspace`'s reduced
+    basis of the kernel of the chain evaluated at the lattice of degree
+    prod(degrees), where a form vanishes exactly when its degree-D pullback
+    does."""
     rows = [cv.evaluate(x) for x in lattice_points(cv.nvars, math.prod(cv.degrees))]
-    ambient = cv.ambient
-    ring = Ring([f"z{i}" for i in range(ambient)], RATIONALS)
-    unit = [(0,) * i + (1,) + (0,) * (ambient - 1 - i) for i in range(ambient)]
-    return [SparsePoly(ring, {unit[i]: c for i, c in enumerate(vec) if c})
-            for vec in nullspace(rows, RATIONALS)]
+    return nullspace(rows, RATIONALS)
 
 
 def _random_instance(nvars, count, form_degree, domain, rng) -> list[SparsePoly]:
@@ -225,11 +222,17 @@ def _random_instance(nvars, count, form_degree, domain, rng) -> list[SparsePoly]
     return [SparsePoly(ring, {m: c for m, c in zip(monos, row) if c}) for row in rows]
 
 
+def coefficient_rows(forms, degree):
+    """The coefficient rows of `forms` over `monomials_of_degree(nvars, degree)`."""
+    monos = monomials_of_degree(forms[0].ring.nvars, degree)
+    return [[f.terms.get(m, 0) for m in monos] for f in forms]
+
+
 def reference_power_scan(nvars, count, form_degree, trials, seed, power=None,
                          find_min_power=False) -> PowerScanReport:
     """`power_threshold_scan` on valid input, trial by trial through
-    `_random_instance` and `power_independence`, one `PowerInstance` per
-    trial and per power tried."""
+    `_random_instance`, `coefficient_rows` and `power_independence`, called
+    once per trial and per power tried."""
     if power is None:
         power = count - 1
     domain = auto_prime_field(derive_seed(seed, "power-domain"))
@@ -237,12 +240,13 @@ def reference_power_scan(nvars, count, form_degree, trials, seed, power=None,
     mins = []
     for t in range(trials):
         rng = random.Random(derive_seed(seed, "power", t))
-        forms = tuple(_random_instance(nvars, count, form_degree, domain, rng))
-        if power_independence(PowerInstance(forms, power))[0]:
+        rows = coefficient_rows(_random_instance(nvars, count, form_degree, domain, rng),
+                                form_degree)
+        if power_independence(rows, nvars, form_degree, power, domain)[0]:
             independent += 1
         if find_min_power:
             r = 1
-            while not power_independence(PowerInstance(forms, r))[0]:
+            while not power_independence(rows, nvars, form_degree, r, domain)[0]:
                 r += 1
             mins.append(r)
     return PowerScanReport(nvars, count, form_degree, power, trials, independent,

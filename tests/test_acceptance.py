@@ -25,7 +25,7 @@ import json
 import time
 from fractions import Fraction
 
-from oracle import is_zero, sub, symbolic_map, ungauged
+from oracle import is_zero, symbolic_map, ungauged
 from support import expected_quartic_coefficients, run_cli, tctc_gauge_mask
 
 from neurovar.domains import RATIONALS
@@ -198,19 +198,13 @@ def test_criterion_07_composite_veronese_relation():
         failures.append(f"kernel dimension {record['kernel_dim']}, wanted 1")
     from neurovar.veronese import composite_veronese, image_linear_relations
 
-    basis = image_linear_relations(composite_veronese(2, [2, 2]), seed=SEED)
-    form = basis[0]
-    z = [form.ring.var(f"z{i}") for i in range(6)]
-    target = sub(z[2], z[3])
-    ratios = set()
-    keys = set(form.terms) | set(target.terms)
-    for m in keys:
-        if m not in form.terms or m not in target.terms:
-            failures.append("relation support differs from z0*z2 - z1^2")
-            break
-        ratios.add(form.terms[m] / target.terms[m])
-    if len(ratios) > 1:
-        failures.append(f"relation is not a scalar multiple: ratios {ratios}")
+    # Stage-2 coordinates are the quadric monomials z0^2, z0 z1, z0 z2, z1^2,
+    # z1 z2, z2^2 of the conic's coordinates, so z0*z2 - z1^2 is Z3 - Z2.
+    relations = image_linear_relations(composite_veronese(2, [2, 2]), seed=SEED)
+    if relations != [(2, 3)]:
+        failures.append(f"relations {relations}, wanted the pair (2, 3) for Z3 - Z2")
+    if record["relations"] != ["-1*z2 + 1*z3"]:
+        failures.append(f"printed relations {record['relations']}, wanted -1*z2 + 1*z3")
     finish(7, "double-conic image has the single relation z0*z2 - z1^2", 2, started, failures)
 
 

@@ -78,6 +78,19 @@ def test_cli_output_matches_golden(name, monkeypatch, capsys):
     assert _stdout(CASES[name], capsys) == expected
 
 
+def test_repeated_depth_scans_each_architecture_once(monkeypatch, capsys):
+    monkeypatch.delenv("NV_SEED", raising=False)
+    monkeypatch.delenv("NV_THREADS", raising=False)
+    bounds = ["--max-width", "2", "--max-out", "1", "--max-degree", "2", "--csv"]
+    outputs = []
+    for depths in ("2", "2,2"):
+        assert main(["scan", "--depths", depths, *bounds]) == 0
+        captured = capsys.readouterr()
+        outputs.append(_blank_wall_ms(captured.out))
+        assert captured.err.startswith("scanned 4 architectures: "), captured.err
+    assert outputs[0] == outputs[1]
+
+
 def _record() -> list[str]:
     """Write the current stdout of each case that has no file in GOLDEN yet;
     return the names written."""

@@ -17,7 +17,6 @@ from neurovar.poly import Ring, SparsePoly, monomials_of_degree, poly_pow
 from neurovar.rank import CERTIFICATE_FIELD, _echelon, auto_prime_field
 from neurovar.theory import ah_secant_defective, expected_secant_dim
 from neurovar.veronese import (
-    PowerInstance,
     _proportional,
     composite_veronese,
     empirical_secant_dim,
@@ -26,7 +25,7 @@ from neurovar.veronese import (
     power_independence,
     power_threshold_scan,
 )
-from oracle import _random_instance, evaluate, is_zero, lattice_relations, reference_power_scan, sub
+from oracle import _random_instance, coefficient_rows, lattice_relations, reference_power_scan
 from support import reference_rank
 
 
@@ -93,23 +92,10 @@ def test_composite_veronese_rejects_bad_input():
 def test_image_relations_double_conic():
     # The composite degree-(2,2) map of a binary source satisfies exactly one
     # linear relation: the quadric z0*z2 - z1^2 read in stage-2 coordinates.
+    # Those are indexed by quadric monomials in lex order, z0^2, z0 z1, z0 z2,
+    # z1^2, z1 z2, z2^2, so the relation is Z3 - Z2, the pair (2, 3).
     cv = composite_veronese(2, [2, 2])
-    basis = image_linear_relations(cv, seed=5)
-    assert len(basis) == 1
-    ring = basis[0].ring
-    z = [ring.var(f"z{i}") for i in range(6)]
-    # stage-2 coordinates are indexed by quadric monomials in lex order:
-    # z0^2, z0 z1, z0 z2, z1^2, z1 z2, z2^2 -> relation is Z2 - Z3 up to scale
-    target = sub(z[2], z[3])
-    got = basis[0]
-    scale = None
-    for m, c in target.terms.items():
-        assert m in got.terms
-        ratio = got.terms[m] / c
-        assert scale is None or ratio == scale
-        scale = ratio
-    assert scale is not None
-    assert got == target.scale(scale)
+    assert image_linear_relations(cv, seed=5) == [(2, 3)]
 
 
 def test_image_relations_single_veronese_is_nondegenerate():
@@ -135,12 +121,13 @@ def test_image_relations_stable_under_reseeding():
 def test_image_relations_vanish_on_fresh_points():
     cv = composite_veronese(3, [2, 2])
     basis = image_linear_relations(cv, seed=9)
+    assert basis and all(c < f for c, f in basis)
     rng = random.Random(1000)
     for _ in range(50):
         pt = [Fraction(rng.randint(-40, 40)) for _ in range(3)]
         img = cv.evaluate(pt)
-        for form in basis:
-            assert evaluate(form, img) == 0
+        for c, f in basis:
+            assert img[f] - img[c] == 0
 
 
 # -- the principal lattice -------------------------------------------------------------
@@ -182,8 +169,9 @@ def _chains(limit):
 
 def test_image_relations_kernel_dimension_over_chain_grid():
     # The image spans every degree-D source form, so the relations number
-    # ambient - binom(nvars - 1 + D, nvars - 1), and the relations read off
-    # the exponents are the reduced kernel basis of the lattice values.
+    # ambient - binom(nvars - 1 + D, nvars - 1), and the pairs (c, f) read
+    # off the exponents, as vectors z_f - z_c, are the reduced kernel basis of
+    # the lattice values.
     chains = _chains(60)
     assert len(chains) == 106 and sum(len(ds) > 1 for _, ds in chains) == 28
     for nvars, degrees in chains:
@@ -191,7 +179,8 @@ def test_image_relations_kernel_dimension_over_chain_grid():
         forms = math.comb(nvars - 1 + math.prod(degrees), nvars - 1)
         relations = image_linear_relations(cv, seed=3)
         assert len(relations) == cv.ambient - forms, (nvars, degrees)
-        assert relations == lattice_relations(cv), (nvars, degrees)
+        vectors = [[(i == f) - (i == c) for i in range(cv.ambient)] for c, f in relations]
+        assert vectors == lattice_relations(cv), (nvars, degrees)
 
 
 def test_image_relations_need_no_elimination(monkeypatch, capsys):
@@ -269,46 +258,38 @@ def test_empirical_classification_matches_table():
 # -- power independence --------------------------------------------------------------
 
 
-def _forms(*exprs):
-    return tuple(exprs)
+# Linear binary forms x, y and x + y, as coefficient rows over (x, y).
+_X_Y_XPLUSY = [[1, 0], [0, 1], [1, 1]]
 
 
 def test_power_independence_dependent_at_power_one():
-    ring = Ring(["x", "y"])
-    x, y = ring.var("x"), ring.var("y")
-    ok, rank = power_independence(PowerInstance((x, y, x + y), 1))
+    ok, rank = power_independence(_X_Y_XPLUSY, 2, 1, 1, RATIONALS)
     assert not ok
     assert rank == 2
 
 
 def test_power_independence_holds_at_power_two():
-    ring = Ring(["x", "y"])
-    x, y = ring.var("x"), ring.var("y")
-    ok, rank = power_independence(PowerInstance((x, y, x + y), 2))
+    ok, rank = power_independence(_X_Y_XPLUSY, 2, 1, 2, RATIONALS)
     assert ok
     assert rank == 3
 
 
 def test_power_independence_random_quadratics():
-    ring = Ring(["x", "y", "z"])
     rng = random.Random(6)
-    monos = monomials_of_degree(3, 2)
-    forms = []
-    while len(forms) < 4:
-        terms = {m: Fraction(rng.randint(-9, 9)) for m in monos}
-        p = SparsePoly(ring, {m: c for m, c in terms.items() if c})
-        if not is_zero(p):
-            forms.append(p)
-    ok, rank = power_independence(PowerInstance(tuple(forms), 3))
+    rows = []
+    while len(rows) < 4:
+        row = [Fraction(rng.randint(-9, 9)) for _ in monomials_of_degree(3, 2)]
+        if any(row):
+            rows.append(row)
+    ok, rank = power_independence(rows, 3, 2, 3, RATIONALS)
     assert ok and rank == 4
 
 
 def test_power_independence_detects_proportional_pair():
-    ring = Ring(["x", "y"])
-    x, y = ring.var("x"), ring.var("y")
-    p = x + y.scale(Fraction(2))
+    # x + 2y, its multiple -3x - 6y, and y.
+    rows = [[Fraction(1), Fraction(2)], [Fraction(-3), Fraction(-6)], [0, 1]]
     with pytest.raises(ProportionalPair) as err:
-        power_independence(PowerInstance((p, p.scale(Fraction(-3)), y), 2))
+        power_independence(rows, 2, 1, 2, RATIONALS)
     assert (err.value.i, err.value.j) == (0, 1)
 
 
@@ -382,10 +363,11 @@ def test_power_independence_monotone_in_power():
     domain = auto_prime_field(0)
     rng = random.Random(99)
     for t, min_r in enumerate(report.min_powers):
-        forms = tuple(_random_instance(2, 4, 2, domain, random.Random(rng.randint(0, 9999))))
+        forms = _random_instance(2, 4, 2, domain, random.Random(rng.randint(0, 9999)))
+        rows = coefficient_rows(forms, 2)
         base = None
         for r in range(1, 7):
-            ok, _ = power_independence(PowerInstance(forms, r))
+            ok, _ = power_independence(rows, 2, 2, r, domain)
             if base is None and ok:
                 base = r
             if base is not None and r >= base:
@@ -414,20 +396,21 @@ def test_power_threshold_scan_matches_per_trial_reference():
 # -- the evaluation certificate against the expansion route ---------------------------
 
 
-def _expanded_rank(forms, power):
-    """Rank of the coefficient rows of p_i^r, from `poly_pow` and the oracle."""
-    ring = forms[0].ring
-    domain = ring.domain
-    target = monomials_of_degree(ring.nvars, forms[0].total_degree() * power)
-    rows = [[poly_pow(f, power).terms.get(m, 0) for m in target] for f in forms]
-    return reference_rank(rows, domain.p)[0]
+def _expanded_rank(rows, nvars, degree, power, domain):
+    """Rank of the coefficient rows of p_i^r, for the forms p_i with these
+    coefficient rows, from `poly_pow` and the oracle."""
+    ring = Ring([f"z{i}" for i in range(nvars)], domain)
+    monos = monomials_of_degree(nvars, degree)
+    target = monomials_of_degree(nvars, degree * power)
+    forms = [SparsePoly(ring, {m: c for m, c in zip(monos, row) if c}) for row in rows]
+    expanded = [[poly_pow(f, power).terms.get(m, 0) for m in target] for f in forms]
+    return reference_rank(expanded, domain.p)[0]
 
 
-def _random_forms(ring, count, degree, rng):
-    """Random pairwise non-proportional forms of one degree over the ring's domain."""
-    domain = ring.domain
-    monos = monomials_of_degree(ring.nvars, degree)
-    forms = []
+def _random_rows(nvars, count, degree, domain, rng):
+    """Random pairwise non-proportional coefficient rows of forms of one
+    degree over the domain."""
+    monos = monomials_of_degree(nvars, degree)
     rows = []
     while len(rows) < count:
         if domain.p:
@@ -436,42 +419,28 @@ def _random_forms(ring, count, degree, rng):
             row = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in monos]
         if any(row) and not any(_minors_vanish(row, r, domain.p) for r in rows):
             rows.append(row)
-    return tuple(SparsePoly(ring, {m: c for m, c in zip(monos, row) if c}) for row in rows)
+    return rows
 
 
 def _certificate_cases():
-    """(forms, power) over F_p and Q: random instances at powers 0..k, and the
-    dependent families below the threshold and beyond the monomial count."""
+    """`power_independence` arguments (rows, nvars, degree, power, domain)
+    over F_p and Q: random instances at powers 0..k, and the dependent
+    families below the threshold and beyond the monomial count."""
     rng = random.Random(41)
     cases = []
     for domain in (auto_prime_field(41), RATIONALS):
         for nvars, count, degree in ((2, 3, 1), (2, 4, 2), (3, 4, 1), (3, 3, 2), (2, 5, 1)):
-            ring = Ring([f"z{i}" for i in range(nvars)], domain)
-            forms = _random_forms(ring, count, degree, rng)
-            cases += [(forms, r) for r in range(count + 1)]
+            rows = _random_rows(nvars, count, degree, domain, rng)
+            cases += [(rows, nvars, degree, r, domain) for r in range(count + 1)]
     return cases
 
 
-def _counting_poly_pow(monkeypatch):
-    calls = []
-
-    def counted(p, e):
-        calls.append(e)
-        return poly_pow(p, e)
-
-    monkeypatch.setattr(poly_module, "poly_pow", counted)
-    return calls
-
-
-def test_power_independence_matches_expansion(monkeypatch):
-    calls = _counting_poly_pow(monkeypatch)
+def test_power_independence_matches_expansion():
     dependent = 0
-    for forms, r in _certificate_cases():
-        expected = _expanded_rank(forms, r)
-        calls.clear()
-        assert power_independence(PowerInstance(forms, r)) == (expected == len(forms), expected)
-        assert not calls  # the certificate or the lattice decided, never an expansion
-        if expected < len(forms):
+    for case in _certificate_cases():
+        expected = _expanded_rank(*case)
+        assert power_independence(*case) == (expected == len(case[0]), expected)
+        if expected < len(case[0]):
             dependent += 1
     # Powers below k - 1 of binary linear forms, and five binary linear forms
     # at r = 2 (three monomials), are among the dependent cases.
@@ -479,51 +448,46 @@ def test_power_independence_matches_expansion(monkeypatch):
 
 
 def test_power_independence_falls_back_on_repeated_points(monkeypatch):
-    calls = _counting_poly_pow(monkeypatch)
+    # One repeated point certifies nothing; the lattice decides.
     monkeypatch.setattr(
         veronese_module, "_certificate_points",
         lambda rows, r, nvars, p: [[3] * nvars for _ in rows],
     )
-    for forms, r in _certificate_cases():
-        expected = _expanded_rank(forms, r)
-        calls.clear()
-        assert power_independence(PowerInstance(forms, r)) == (expected == len(forms), expected)
-        assert not calls  # one repeated point certifies nothing; the lattice decides
+    for case in _certificate_cases():
+        expected = _expanded_rank(*case)
+        assert power_independence(*case) == (expected == len(case[0]), expected)
 
 
 def test_power_independence_certificate_with_denominator_q(monkeypatch):
     # A coefficient 1/q is cleared to an integer before reduction mod q, so
-    # the certificate still proves independence, without expanding a power.
-    calls = _counting_poly_pow(monkeypatch)
-    ring = Ring(["x", "y"])
-    x, y = ring.var("x"), ring.var("y")
-    forms = (x.scale(Fraction(1, CERTIFICATE_FIELD.p)) + y, y, x + y)
-    assert _expanded_rank(forms, 2) == 3
-    assert power_independence(PowerInstance(forms, 2)) == (True, 3)
-    assert not calls
+    # the certificate alone proves independence of the squares of x/q + y, y
+    # and x + y, without the lattice.
+    def no_lattice(*args):
+        raise AssertionError("the certificate did not decide")
+
+    rows = [[Fraction(1, CERTIFICATE_FIELD.p), Fraction(1)], [0, 1], [1, 1]]
+    assert _expanded_rank(rows, 2, 1, 2, RATIONALS) == 3
+    monkeypatch.setattr(veronese_module, "lattice_points", no_lattice)
+    assert power_independence(rows, 2, 1, 2, RATIONALS) == (True, 3)
 
 
 def test_lab_never_multiplies_or_powers_polynomials(monkeypatch):
-    # Relations and dependent powers are decided by evaluation alone.
-    cases = [(forms, r, _expanded_rank(forms, r)) for forms, r in _certificate_cases()]
-    dependent = [(forms, r, rank) for forms, r, rank in cases if rank < len(forms)]
+    # Relations, dependent powers and the power scan are decided by
+    # evaluation alone, on coordinate pairs and coefficient rows: the lab
+    # builds no polynomial object at all.
+    cases = [(case, _expanded_rank(*case)) for case in _certificate_cases()]
+    dependent = [(case, rank) for case, rank in cases if rank < len(case[0])]
     assert len(dependent) >= 10
 
     def refuse(*args):
-        raise AssertionError("a polynomial was multiplied or raised to a power")
+        raise AssertionError("the lab built or powered a polynomial")
 
-    monkeypatch.setattr(poly_module.SparsePoly, "__mul__", refuse)
+    monkeypatch.setattr(poly_module.SparsePoly, "__init__", refuse)
     monkeypatch.setattr(poly_module, "poly_pow", refuse)
     for nvars, degrees in ((2, (2, 2)), (3, (2, 2)), (2, (3, 2)), (2, (2, 2, 2))):
         image_linear_relations(composite_veronese(nvars, degrees), seed=5)
-    for forms, r, rank in dependent:
-        assert power_independence(PowerInstance(forms, r)) == (False, rank)
-
-    # The power lab draws its trials as coefficient rows: no polynomial at all.
-    def no_poly(*args):
-        raise AssertionError("the power scan built a polynomial")
-
-    monkeypatch.setattr(veronese_module, "SparsePoly", no_poly)
+    for case, rank in dependent:
+        assert power_independence(*case) == (False, rank)
     assert power_threshold_scan(2, 4, 1, trials=5, seed=5, find_min_power=True).min_powers == (3,) * 5
     assert power_threshold_scan(3, 5, 2, trials=5, seed=5).all_independent
     assert power_threshold_scan(2, 5, 1, trials=5, seed=5, power=2).independent == 0
@@ -531,22 +495,22 @@ def test_lab_never_multiplies_or_powers_polynomials(monkeypatch):
 
 def test_power_independence_refuses_primes_up_to_s_times_r():
     # The lattice of degree s*r needs p > s*r; at p = 7 quadrics reach r = 3.
-    ring = Ring(["x", "y"], PrimeField(7))
-    x, y = ring.var("x"), ring.var("y")
-    forms = (x * x, y * y, x * y)
-    assert power_independence(PowerInstance(forms, 3)) == (True, 3)
+    # x^2, y^2 and xy over the quadric monomials (x^2, xy, y^2).
+    rows = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    assert power_independence(rows, 2, 2, 3, PrimeField(7)) == (True, 3)
     with pytest.raises(ValueError, match=r"F_7 needs p > s\*r = 8"):
-        power_independence(PowerInstance(forms, 4))
+        power_independence(rows, 2, 2, 4, PrimeField(7))
 
 
 def test_power_independence_rejects_bad_instances():
-    ring = Ring(["x", "y"])
-    x, y = ring.var("x"), ring.var("y")
     with pytest.raises(ValueError, match="power must be >= 0, got -1"):
-        power_independence(PowerInstance((x, y), -1))
-    with pytest.raises(ValueError, match="homogeneous"):
-        power_independence(PowerInstance((x, y * y), 2))
-    assert power_independence(PowerInstance((x, y), 0)) == (False, 1)
+        power_independence([[1, 0], [0, 1]], 2, 1, -1, RATIONALS)
+    # A row of two coefficients is short for the three binary quadrics.
+    with pytest.raises(ValueError, match="row 1 has 2 coefficients, but degree 2 in 2 variables "
+                                         "has 3 monomials") as err:
+        power_independence([[1, 0, 0], [0, 1]], 2, 2, 2, RATIONALS)
+    assert "\n" not in str(err.value)
+    assert power_independence([[1, 0], [0, 1]], 2, 1, 0, RATIONALS) == (False, 1)
 
 
 @pytest.mark.parametrize(
