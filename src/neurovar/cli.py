@@ -10,8 +10,9 @@ Verbs:
 
 Exit codes: 0 success, 1 failed re-check or refused computation (a
 --confirm-rational mismatch, a composite Veronese stage past the ambient cap,
-a power-indep form space past the power lab's listing cap), 2 invalid input,
-3 sampling exhausted, 4 I/O error.
+a power-indep form space past the power lab's listing cap, a dims or
+veronese-secant network whose outputs have more monomials than the sampling
+cap), 2 invalid input, 3 sampling exhausted, 4 I/O error.
 NV_SEED overrides --seed; NV_THREADS sizes the scan worker pool.
 """
 

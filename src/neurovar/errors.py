@@ -59,4 +59,5 @@ class ProportionalPair(NeurovarError):
 
 
 class AmbientTooLarge(NeurovarError):
-    """A composite Veronese target exceeds the configured coordinate cap."""
+    """A computation is refused for its size: a composite Veronese stage, a
+    power-lab form space or a sampled network output past its cap."""

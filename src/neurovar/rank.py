@@ -47,9 +47,9 @@ from dataclasses import dataclass
 from math import lcm
 
 from .domains import RATIONALS, PrimeField, random_prime
-from .errors import NotSingleOutput, PivotVanishes, SamplingExhausted
+from .errors import AmbientTooLarge, NotSingleOutput, PivotVanishes, SamplingExhausted
 from .network import Architecture, GaugedMap, gauge_fix
-from .poly import Ring, monomials_of_degree
+from .poly import Ring, count_monomials, monomials_of_degree
 from .theory import (
     dim_upper_bound,
     expected_dim,
@@ -62,6 +62,16 @@ DEFAULT_SEED = 1729
 # F_q for the Mersenne prime q = 2^61 - 1: the field of every full-rank
 # certificate over Q.
 CERTIFICATE_FIELD = PrimeField((1 << 61) - 1)
+# Sampling refuses an architecture whose outputs have more than this many
+# degree-D monomials, M = binom(n_0 - 1 + D, D), counted before any binomial
+# is formed or any monomial listed: each trial expands every layer's forms and
+# fills n_L * (M - 1) Jacobian rows.  `dims` took 1.0 s at M = 5,151
+# ((3,3,3,1)/(10,10)), 2.5 s at M = 9,139 ((4,2,2,1)/(6,6)), 22 s at
+# M = 20,349 ((6,4,3,1)/(4,4)) and 65 s at M = 20,000 ((2,2,1)/(19999));
+# (8,6,4,1)/(5,4), M = 888,030, was still running after 120 s, and
+# (10,10,10,1)/(10,10), M of about 4.3e12, never ends (2-core x86-64,
+# Python 3.11).  The largest M in the tests and the benchmark is 969.
+OUTPUT_MONOMIAL_CAP = 20_000
 
 
 def derive_seed(*parts) -> int:
@@ -307,6 +317,17 @@ def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
 # -- sampling ------------------------------------------------------------------
 
 
+def _check_output_size(arch: Architecture) -> None:
+    """Raise AmbientTooLarge when an output of `arch` has more than
+    OUTPUT_MONOMIAL_CAP monomials."""
+    count = count_monomials(arch.n_in, arch.total_degree, OUTPUT_MONOMIAL_CAP)
+    if count > OUTPUT_MONOMIAL_CAP:
+        raise AmbientTooLarge(
+            f"{arch.label()}: each output has at least {count} monomials of degree "
+            f"{arch.total_degree}, past the sampling cap {OUTPUT_MONOMIAL_CAP}"
+        )
+
+
 def generic_rank(
     gmap: GaugedMap,
     tries: int = DEFAULT_TRIES,
@@ -331,10 +352,13 @@ def generic_rank(
     so each cleared entry c_0*dc_m - c_m*dc_0 has degree 2*deg_c - 1, that minor
     has degree cap*(2*deg_c - 1), and by Schwartz-Zippel a trial over F_p reads
     low with probability at most that over p.  A prime that makes this bound
-    1/2 or more raises ValueError.
+    1/2 or more raises ValueError, and outputs of more than
+    OUTPUT_MONOMIAL_CAP monomials raise AmbientTooLarge before anything is
+    computed.
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
+    _check_output_size(gmap.arch)
     if domain is None:
         domain = auto_prime_field(seed)
     cap = min(gmap.domain_dim, gmap.target_dim, dim_upper_bound(gmap.arch))
@@ -407,11 +431,11 @@ def neurovariety_stats(
     if domain is None:
         domain = auto_prime_field(seed)
     gmap = gauge_fix(arch)
+    dim_actual, witness = generic_rank(gmap, tries, seed, domain)
     try:
         refined = expected_dim_single_output(arch)
     except NotSingleOutput:
         refined = None
-    dim_actual, witness = generic_rank(gmap, tries, seed, domain)
     return DimReport(
         arch=arch,
         expdim_general=expected_dim_general(arch),
@@ -450,7 +474,9 @@ def _columns_rank(gmap: GaugedMap, sample: JacobianSample, layers: set[int], dom
 
 
 def block_ranks(gmap: GaugedMap, point, domain) -> BlockRankReport:
-    """Per-layer column-block ranks at one sample point."""
+    """Per-layer column-block ranks at one sample point; AmbientTooLarge as
+    in `generic_rank`."""
+    _check_output_size(gmap.arch)
     sample = jacobian_at(gmap, point, domain)
     L = gmap.arch.depth
     per_layer = tuple(

@@ -1,4 +1,5 @@
-"""Sparse polynomial arithmetic: pinned examples and ring-axiom properties."""
+"""Sparse polynomial arithmetic: pinned examples, ring-axiom properties and the
+agreement of the packed (Kronecker) product with the dict loop."""
 
 import math
 import random
@@ -7,8 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neurovar import poly as poly_module
 from neurovar.domains import PrimeField, RATIONALS
 from neurovar.poly import Ring, SparsePoly, count_monomials, monomials_of_degree, poly_pow
+from neurovar.rank import auto_prime_field
 from oracle import const, evaluate, neg, partial, sub
 
 PRIME = PrimeField((1 << 61) - 1)
@@ -244,3 +247,116 @@ def _random_poly(ring, rng):
         if c:
             terms[m] = c
     return SparsePoly(ring, terms)
+
+
+# -- packed (Kronecker) products ---------------------------------------------------
+
+PRODUCT_FIELDS = [PrimeField(2), PrimeField(3), SMALL, PrimeField(7919), PRIME,
+                  auto_prime_field(1729), RATIONALS]
+
+
+def _homogeneous(nvars, deg, rng, p, density=1.0, low=-9, high=9):
+    """A term map over the degree-`deg` monomials: coefficients in 1..p-1 over
+    F_p, in [low, high] over Q; zero coefficients are left out."""
+    terms = {}
+    for m in monomials_of_degree(nvars, deg):
+        if rng.random() < density:
+            c = rng.randrange(1, p) if p else rng.randint(low, high)
+            if c:
+                terms[m] = c
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 6),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from(PRODUCT_FIELDS),
+       st.integers(0, 2**32))
+def test_packed_product_equals_the_dict_loop(nvars, da, db, fa, fb, domain, seed):
+    # Any sizes, the zero polynomial (density 0), constants (degree 0) and
+    # single terms included; over F_2 and F_3 most sums cancel.
+    rng = random.Random(seed)
+    p = domain.p
+    a = _homogeneous(nvars, da, rng, p, fa)
+    b = _homogeneous(nvars, db, rng, p, fb)
+    packed = poly_module._packed_product(a, b, p)
+    assert packed == poly_module._dict_product(a, b, p)
+    assert all(0 < c < p if p else c != 0 for c in packed.values())
+    ring = Ring([f"x{i}" for i in range(nvars)], domain)
+    assert (SparsePoly(ring, a) * SparsePoly(ring, b)).terms == packed
+
+
+@pytest.mark.parametrize("domain", PRODUCT_FIELDS, ids=lambda d: str(d.p))
+def test_packed_product_on_both_sides_of_the_crossover(domain):
+    rng = random.Random(domain.p)
+    p = domain.p
+    for nvars, da, db in ((2, 30, 7), (3, 4, 4), (3, 6, 6), (4, 3, 2), (4, 3, 3), (4, 12, 4)):
+        a = _homogeneous(nvars, da, rng, p)
+        b = _homogeneous(nvars, db, rng, p)
+        product = poly_module._dict_product(a, b, p)
+        assert poly_module._packed_product(a, b, p) == product
+        ring = Ring([f"x{i}" for i in range(nvars)], domain)
+        assert (SparsePoly(ring, a) * SparsePoly(ring, b)).terms == product
+    # Wide Q coefficients: the slot width follows the largest one.
+    a = _homogeneous(3, 5, rng, 0, low=-10**40, high=10**40)
+    b = _homogeneous(3, 4, rng, 0, low=-10**25, high=10**25)
+    assert poly_module._packed_product(a, b, 0) == poly_module._dict_product(a, b, 0)
+
+
+@pytest.mark.parametrize("domain", PRODUCT_FIELDS, ids=lambda d: str(d.p))
+def test_packed_product_cancels_to_two_terms(domain):
+    # (x - y) * (x^200 + x^199*y + ... + y^200) = x^201 - y^201: 402 term
+    # pairs, every inner sum zero.
+    p = domain.p
+    minus_one = -1 % p if p else -1
+    ring = Ring(["x", "y"], domain)
+    diff = SparsePoly(ring, {(1, 0): 1, (0, 1): minus_one})
+    geometric = SparsePoly(ring, {m: 1 for m in monomials_of_degree(2, 200)})
+    assert poly_module._packing_pays(diff.terms, geometric.terms)
+    expected = {(201, 0): 1, (0, 201): minus_one}
+    assert (diff * geometric).terms == expected
+    assert poly_module._dict_product(diff.terms, geometric.terms, p) == expected
+
+
+def test_deep_product_does_not_run_the_dict_loop(monkeypatch):
+    # A product of the size deep-dims multiplies (455 x 35 terms of degrees 12
+    # and 4 in 4 variables) must take the packed path.
+    domain = auto_prime_field(1729)
+    rng = random.Random(12)
+    ring = Ring([f"x{i}" for i in range(4)], domain)
+    a = SparsePoly(ring, _homogeneous(4, 12, rng, domain.p))
+    b = SparsePoly(ring, _homogeneous(4, 4, rng, domain.p))
+    assert (len(a.terms), len(b.terms)) == (455, 35)
+    expected = poly_module._dict_product(a.terms, b.terms, domain.p)
+
+    def refuse(*args):
+        raise AssertionError("dict loop called on a product that should pack")
+
+    monkeypatch.setattr(poly_module, "_dict_product", refuse)
+    assert (a * b).terms == expected
+    assert (b * a).terms == expected
+
+
+def test_dict_loop_keeps_what_packing_cannot_or_should_not_take(monkeypatch):
+    rng = random.Random(5)
+    p = PRIME.p
+    cases = [
+        # Below the crossover: 15 x 15 = 225 pairs.
+        (_homogeneous(3, 4, rng, p), _homogeneous(3, 4, rng, p), p),
+        # Not homogeneous.
+        ({**_homogeneous(3, 6, rng, p), (0, 0, 0): 1}, _homogeneous(3, 6, rng, p), p),
+        # Fraction coefficients over Q.
+        ({m: Fraction(c, 3) for m, c in _homogeneous(3, 6, rng, 0).items()},
+         _homogeneous(3, 6, rng, 0), 0),
+        # Six variables: the slots outnumber the pairs (14,407 slots, 3,136 pairs).
+        (_homogeneous(6, 3, rng, p), _homogeneous(6, 3, rng, p), p),
+    ]
+    expected = [poly_module._dict_product(a, b, q) for a, b, q in cases]
+
+    def refuse(*args):
+        raise AssertionError("packed a product that should stay on the dict loop")
+
+    monkeypatch.setattr(poly_module, "_packed_product", refuse)
+    for (a, b, q), want in zip(cases, expected):
+        assert not poly_module._packing_pays(a, b)
+        ring = Ring([f"x{i}" for i in range(len(next(iter(a))))], PrimeField(q) if q else RATIONALS)
+        assert (SparsePoly(ring, a) * SparsePoly(ring, b)).terms == want

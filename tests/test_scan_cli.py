@@ -14,8 +14,11 @@ import pytest
 from support import run_cli
 
 import neurovar.cli as cli_module
+import neurovar.rank as rank_module
 import neurovar.veronese as veronese_module
 from neurovar.cli import main
+from neurovar.errors import AmbientTooLarge
+from neurovar.network import gauge_fix, validate
 from neurovar.scan import (
     REPORT_KEYS,
     ScanSpec,
@@ -464,6 +467,46 @@ def test_cli_power_indep_refuses_form_space_past_cap(monkeypatch, capsys):
                  "--trials", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: vars=20 and form degree=20: ") and err.count("\n") == 1, err
+
+
+def _unlisted(*args):
+    raise AssertionError("output monomials listed or counted by a binomial past the cap")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "-n", "10,10,10,1", "-d", "10,10"],
+    ["dims", "-n", "3,2,1", "-d", "100000", "--json"],
+    ["dims", "-n", "8,6,4,1", "-d", "5,4", "--confirm-rational"],
+    ["dims", "-n", "6,4,3,1", "-d", "4,4", "--field", "rational"],
+    ["veronese-secant", "-n", "100", "-d", "100", "-s", "2"],
+])
+def test_cli_refuses_outputs_past_the_monomial_cap(argv, monkeypatch, capsys):
+    # Counted before the forward pass lists a monomial or any binomial is
+    # formed: exit 1 with one line; these ran until killed before the cap.
+    monkeypatch.setattr(rank_module, "monomials_of_degree", _unlisted)
+    monkeypatch.setattr(math, "comb", _unlisted)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: n=(") and err.count("\n") == 1, err
+    assert f"past the sampling cap {rank_module.OUTPUT_MONOMIAL_CAP}" in err
+
+
+def test_block_ranks_refuses_outputs_past_the_monomial_cap(monkeypatch):
+    gmap = gauge_fix(validate((3, 2, 1), (10**5,)))
+    monkeypatch.setattr(rank_module, "monomials_of_degree", _unlisted)
+    with pytest.raises(AmbientTooLarge, match="at least 100002 monomials of degree 100000, past"):
+        rank_module.block_ranks(gmap, (1, 1), rank_module.CERTIFICATE_FIELD)
+
+
+def test_monomial_cap_admits_every_pinned_architecture():
+    # The tests, the golden files and the benchmark answers reach M = 969.
+    assert rank_module.OUTPUT_MONOMIAL_CAP >= 969
+    largest = validate((4, 2, 3, 2), (4, 4))
+    assert largest.ambient_per_output == 969
+    rank_module._check_output_size(largest)
+    rank_module._check_output_size(validate((6, 2, 2, 1), (3, 3)))
 
 
 def test_cli_scan_defaults_are_scan_spec_defaults(monkeypatch, capsys):
