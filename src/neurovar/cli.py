@@ -8,11 +8,10 @@ Verbs:
     power-indep      random power-independence trials
     relations        linear relations on a composite Veronese image
 
-Exit codes: 0 success, 1 failed re-check or refused computation (a
---confirm-rational mismatch, a composite Veronese stage past the ambient cap,
-a power-indep form space past the power lab's listing cap, a dims or
-veronese-secant network whose outputs have more monomials than the sampling
-cap), 2 invalid input, 3 sampling exhausted, 4 I/O error.
+Exit codes (each error one `error:` line on stderr): 0 success, 1 failed
+--confirm-rational re-check or estimated work past `poly.WORK_CAP` (`scan`
+skips such rows, counting them on stderr), 2 invalid input, 3 sampling
+exhausted, 4 I/O error.
 NV_SEED overrides --seed; NV_THREADS sizes the scan worker pool.
 """
 
@@ -26,6 +25,7 @@ import sys
 from .domains import RATIONALS
 from .errors import ArchitectureError, NeurovarError, SamplingExhausted
 from .network import gauge_fix, validate
+from .poly import refuse_past_cap
 from .rank import (
     DEFAULT_SEED,
     DEFAULT_TRIES,
@@ -33,9 +33,10 @@ from .rank import (
     generic_rank,
     neurovariety_stats,
     resolve_domain,
+    sampling_steps,
 )
-from .scan import ScanSpec, emit_report, report_record, scan
-from .theory import expected_secant_dim, ah_secant_defective, theorem_verdict
+from .scan import ScanSpec, emit_report, grid_architectures, report_record, scan
+from .theory import expected_secant_dim, ah_secant_defective, theorem_verdict, verdict_steps
 from .veronese import composite_veronese, empirical_secant_dim, image_linear_relations, power_threshold_scan
 
 
@@ -101,6 +102,7 @@ def cmd_dims(args) -> int:
     seed = _resolve_seed(args)
     arch = validate(_int_list(args.widths), _int_list(args.degrees or ""))
     domain = resolve_domain(args.field, _prime_arg(args.prime), seed)
+    refuse_past_cap(arch.label(), sampling_steps(arch, args.tries + 3 * args.confirm_rational))
     report = neurovariety_stats(arch, tries=args.tries, seed=seed, domain=domain)
     verdict_label = theorem_verdict(arch).label() if arch.depth >= 2 else "NotApplicable"
 
@@ -138,6 +140,7 @@ def cmd_dims(args) -> int:
 
 def cmd_check(args) -> int:
     arch = validate(_int_list(args.widths), _int_list(args.degrees or ""))
+    refuse_past_cap(arch.label(), verdict_steps(arch))
     verdict = theorem_verdict(arch)
     record = {
         "arch": list(arch.widths),
@@ -198,23 +201,18 @@ def cmd_scan(args) -> int:
         max_free=args.max_free,
         max_ambient=args.max_ambient,
     )
+    past_cap = grid_architectures(spec)[1]
     rows = scan(spec)
-    fmt = "csv" if args.csv else "json"
-    text = emit_report(rows, fmt=fmt, path=args.out)
+    text = emit_report(rows, fmt="csv" if args.csv else "json", path=args.out)
     if args.out is None:
         sys.stdout.write(text)
     disagreements = [r for r in rows if not r.agreement]
-    errors = [r for r in rows if r.error]
-    print(
-        f"scanned {len(rows)} architectures: "
-        f"{len(disagreements)} disagreements, {len(errors)} errors",
-        file=sys.stderr,
-    )
+    errors = sum(1 for r in rows if r.error)
+    print(f"scanned {len(rows)} architectures: {len(disagreements)} disagreements, "
+          f"{errors} errors, {past_cap} skipped past the work cap", file=sys.stderr)
     for r in disagreements:
         print(f"  disagreement: {r.arch.label()}", file=sys.stderr)
-    if errors:
-        return 3
-    return 0
+    return 3 if errors else 0
 
 
 def cmd_veronese_secant(args) -> int:
@@ -289,8 +287,13 @@ def cmd_relations(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is invalid input, reported by `main`
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neurovar",
         description="Exact dimension computations for polynomial neural network varieties",
     )
@@ -358,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ArchitectureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

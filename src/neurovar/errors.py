@@ -59,5 +59,5 @@ class ProportionalPair(NeurovarError):
 
 
 class AmbientTooLarge(NeurovarError):
-    """A computation is refused for its size: a composite Veronese stage, a
-    power-lab form space or a sampled network output past its cap."""
+    """A computation is refused for its size: the work a verb estimates from
+    its inputs passes `poly.WORK_CAP` (`poly.refuse_past_cap`)."""

@@ -46,12 +46,12 @@ Python 3.11).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import isqrt
+from math import isqrt, log10
 from operator import mul
 from typing import Sequence
 
 from .domains import RATIONALS
+from .errors import AmbientTooLarge
 
 Monomial = tuple[int, ...]
 
@@ -80,19 +80,22 @@ def monomials_of_degree(nvars: int, deg: int) -> list[Monomial]:
 
     The list has length binom(nvars-1+deg, nvars-1) and starts at x0^deg,
     ending at x_{nvars-1}^deg.  Lexicographic order on exponent tuples is
-    descending tuple order: (deg,0,..) first.
+    descending tuple order: (deg,0,..) first.  Each tuple follows from the
+    one before in at most nvars steps: its last nonzero entry before the final
+    one gives a unit to the next entry, which also takes the final entry's.
     """
     if nvars < 1:
         raise ValueError("nvars must be >= 1")
     if deg < 0:
         raise ValueError("deg must be >= 0")
-    out = []
-    for combo in combinations_with_replacement(range(nvars), deg):
-        exp = [0] * nvars
-        for i in combo:
-            exp[i] += 1
+    exp, last = [deg] + [0] * (nvars - 1), nvars - 1
+    out = [tuple(exp)]
+    while exp[last] != deg:
+        j = last - 1
+        while not exp[j]:
+            j -= 1
+        exp[last], exp[j], exp[j + 1] = 0, exp[j] - 1, exp[last] + 1
         out.append(tuple(exp))
-    out.sort(reverse=True)
     return out
 
 
@@ -104,6 +107,29 @@ def count_monomials(nvars: int, deg: int, cap: int) -> int:
     while count <= cap and i <= min(nvars - 1, deg):
         count, i = count * (nvars + deg - i) // i, i + 1
     return count
+
+
+# One size policy: each verb estimates its steps from its inputs alone
+# (`rank.sampling_steps`, `theory.verdict_steps`, `veronese.relations_steps`
+# and `power_scan_steps`, `scan.grid_architectures`), counting binomials only
+# up to the cap, and refuses past it before listing or forming anything large.
+# Timed near the cap (2-core x86-64, Python 3.11), a step took 50-300 ns:
+# dims (6,4,3,1)/(4,4) --tries 1, 6.4e7 steps in 19 s; dims (2,1,1)/(130000)
+# --tries 1, 7.7e7 in 10 s and 214 MB; power-indep, 2 forms of degree 13 in
+# 10 variables, 7.5e7 in 4.2 s; relations (2; 5, 20), 1.7e7 in 5.1 s.  The
+# largest estimate in the tests and benchmark is 5.3e7 ((4,4,4,2)/(4,4) at 10
+# tries, 0.6 s); the inputs that used to run for minutes start at 6e8.  A
+# `check` binomial at the cap has 10^4 bits, 3,010 digits, under the 4,300
+# that Python 3.11 and later convert to decimal.
+WORK_CAP = 100_000_000
+
+
+def refuse_past_cap(what: str, steps: int) -> None:
+    """Raise AmbientTooLarge, naming the inputs as `what`, when a verb's
+    estimated `steps` pass WORK_CAP."""
+    if steps > WORK_CAP:
+        raise AmbientTooLarge(f"{what}: about 10^{round(log10(steps))} steps of work, "
+                              f"past the cap of {WORK_CAP}")
 
 
 class Ring:

@@ -20,7 +20,9 @@ from itertools import product
 
 from .errors import NeurovarError
 from .network import Architecture, validate
-from .rank import DEFAULT_SEED, DEFAULT_TRIES, DimReport, neurovariety_stats, resolve_domain
+from .poly import WORK_CAP, refuse_past_cap
+from .rank import (DEFAULT_SEED, DEFAULT_TRIES, DimReport, neurovariety_stats, resolve_domain,
+                   sampling_steps)
 from .theory import (
     LAST_VERONESE_DEFECTIVE,
     PREDICTED_IDENTIFIABLE,
@@ -53,10 +55,10 @@ REPORT_KEYS = (
 class ScanSpec:
     """Bounds and sampling parameters for an exhaustive scan.
 
-    Architectures with more free weights than `max_free` or more ambient
-    coordinates than `max_ambient` are skipped before any sampling; the
-    defaults keep a full small-architecture sweep within minutes while
-    covering every worked example.
+    Architectures with more free weights than `max_free`, more ambient
+    coordinates than `max_ambient` or sampling work past `poly.WORK_CAP` are
+    skipped before any sampling; the defaults keep a full small-architecture
+    sweep within minutes while covering every worked example.
     """
 
     depths: tuple[int, ...] = (2, 3)
@@ -137,24 +139,32 @@ def report_record(arch: Architecture, report: DimReport | None, verdict: str | N
     return {key: values.get(key) for key in REPORT_KEYS if key != "wall_ms"}
 
 
-def grid_architectures(spec: ScanSpec) -> list[Architecture]:
-    """All architectures inside the bounds, each once, sorted by (L, widths, degrees)."""
+def grid_architectures(spec: ScanSpec) -> tuple[list[Architecture], int]:
+    """All architectures inside the bounds, each once, sorted by (L, widths,
+    degrees), and the number skipped because their sampling passes the cap.
+    AmbientTooLarge when the grid does, at 16*L steps per candidate of depth
+    L, its width and degree counts raised only to a power that passes it."""
     spec.validate_bounds()
-    archs = []
+    widths = range(spec.min_width, spec.max_width + 1)
+    degrees = range(spec.min_degree, spec.max_degree + 1)
+    outs = range(1, min(spec.max_width, spec.max_out_width) + 1)
+    e = WORK_CAP.bit_length() + 1  # bounds may pass len()'s range
+    refuse_past_cap("scan grid", sum(
+        16 * L * (outs.stop - 1) * (widths.stop - widths.start) ** min(L, e)
+        * (degrees.stop - degrees.start) ** min(L - 1, e) for L in set(spec.depths)))
+    archs, past_cap = [], 0
     for L in sorted(set(spec.depths)):
-        width_ranges = [range(spec.min_width, spec.max_width + 1)] * L
-        out_range = range(1, min(spec.max_width, spec.max_out_width) + 1)
-        for widths in product(*width_ranges):
-            for out in out_range:
-                full = widths + (out,)
-                for degrees in product(range(spec.min_degree, spec.max_degree + 1), repeat=L - 1):
-                    arch = validate(full, degrees)
+        for hidden in product(widths, repeat=L):
+            for out in outs:
+                for ds in product(degrees, repeat=L - 1):
+                    arch = validate(hidden + (out,), ds)
                     if arch.free_weight_count > spec.max_free:
                         continue
-                    if arch.n_out * arch.ambient_per_output > spec.max_ambient:
-                        continue
-                    archs.append(arch)
-    return archs
+                    if sampling_steps(arch, spec.tries) > WORK_CAP:
+                        past_cap += 1
+                    elif arch.n_out * arch.ambient_per_output <= spec.max_ambient:
+                        archs.append(arch)
+    return archs, past_cap
 
 
 def agreement_flag(verdict: Verdict, report: DimReport, arch: Architecture) -> bool:
@@ -196,7 +206,7 @@ def scan(spec: ScanSpec, workers: int | None = None) -> list[ScanRow]:
             workers = int(env)
         except ValueError:
             raise ValueError(f"NV_THREADS must be an integer, got {env!r}") from None
-    archs = grid_architectures(spec)
+    archs = grid_architectures(spec)[0]
     domain = resolve_domain(spec.field, spec.prime, spec.seed)
     jobs = [(arch, spec.tries, spec.seed, domain) for arch in archs]
     workers = min(workers, os.cpu_count() or 1, len(jobs))
@@ -258,39 +268,3 @@ def emit_report(rows, fmt: str = "json", path: str | None = None) -> str:
         except OSError as exc:
             raise OSError(f"cannot write report to {path}: {exc}") from exc
     return text
-
-
-def _csv_value(key: str, cell: str):
-    if cell == "":
-        return None
-    if key in ("arch", "degrees"):
-        return [int(v) for v in cell.split(",")] if cell else []
-    if key == "pivot":
-        if ";" in cell:
-            return [int(v) for v in cell.split(";")]
-        return int(cell)
-    if key == "defective":
-        return cell == "true"
-    if key in ("expdim", "expdim_refined", "dim_actual", "fiber_dim", "trials", "seed", "wall_ms"):
-        return int(cell)
-    return cell
-
-
-def parse_report(text: str, fmt: str = "json") -> list[dict]:
-    """Parse an emitted report back into records (inverse of emit_report)."""
-    if fmt == "json":
-        return [{k: rec.get(k) for k in REPORT_KEYS} for rec in json.loads(text)]
-    if fmt == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if tuple(header) != REPORT_KEYS:
-            raise ValueError("unexpected CSV header")
-        out = []
-        for row in reader:
-            rec = {k: _csv_value(k, cell) for k, cell in zip(header, row)}
-            # degrees may legitimately be empty for depth-1 networks
-            if rec["degrees"] is None:
-                rec["degrees"] = []
-            out.append(rec)
-        return out
-    raise ValueError("format must be 'json' or 'csv'")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import NotSingleOutput
 from .network import Architecture, validate
+from .poly import WORK_CAP, count_monomials
 
 # Verdict kinds.
 PREDICTED_NON_DEFECTIVE = "PredictedNonDefective"
@@ -210,6 +211,16 @@ def theorem_verdict(arch: Architecture) -> Verdict:
     if cond3 is not None and not cond3.holds:
         return Verdict(FILLING_CASE_UNRESOLVED, None, room, ah_query, ah_def, cond3)
     return Verdict(PREDICTED_IDENTIFIABLE, None, room, ah_query, ah_def, cond3)
+
+
+def verdict_steps(arch: Architecture) -> int:
+    """The estimated work of `theorem_verdict(arch)` and its report: the
+    squared bit length (decimal conversion is quadratic) of each room bound
+    and, for several outputs, binom(n_0-1+D, D), counted up to 2^isqrt(cap)."""
+    pairs = list(zip(arch.widths, arch.degrees))
+    pairs += [(arch.n_in, arch.total_degree)] * (arch.n_out > 1)
+    cap = (1 << math.isqrt(WORK_CAP)) - 1
+    return sum(count_monomials(n, d, cap).bit_length() ** 2 for n, d in pairs)
 
 
 def necessity_scope(arch: Architecture) -> bool:

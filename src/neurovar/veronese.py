@@ -39,9 +39,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import AmbientTooLarge, ProportionalPair
+from .errors import ProportionalPair
 from .network import gauge_fix, validate
-from .poly import Monomial, count_monomials, monomials_of_degree
+from .poly import WORK_CAP, Monomial, count_monomials, monomials_of_degree, refuse_past_cap
 from .rank import (
     CERTIFICATE_FIELD,
     DEFAULT_SEED,
@@ -51,28 +51,8 @@ from .rank import (
     derive_seed,
     exact_rank,
     generic_rank,
+    sampling_steps,
 )
-
-# A stage of more coordinates than this is refused before it is enumerated:
-# stage sizes binom(n - 1 + e, e) compound along a chain (53,130 for a
-# degree-20 stage on 5 coordinates).  Up to the cap the relations are cheap;
-# read off the source exponents they took 0.08 s for the single degree-199
-# stage of ambient 200 and 0.07 s for (5; 2, 2) of ambient 120 (2-core x86-64,
-# Python 3.11).  The largest ambient in the tests and the benchmark is 60.
-AMBIENT_CAP = 200
-
-# The power lab refuses a form space whose M monomials, listed as exponent
-# tuples, take more than this many steps, M * (vars + form degree): each
-# tuple is vars zeros plus form-degree increments.  A trial then draws and
-# evaluates M coefficients per form.  Up to the cap the scan stays cheap:
-# listing took 0.30 s and a two-form trial 2.4 s at 198 MB for the largest
-# case measured, 293,930 monomials of degree 12 in 10 variables (6.5e6 steps),
-# and 0.17 s and 0.74 s for linear forms in 3,000 variables (9.0e6 steps);
-# past it, linear forms in 10,000 variables (1.0e8 steps) took 2.7 s to list
-# and 9 s a trial at 791 MB (2-core x86-64, Python 3.11).  The criterion-8
-# cells have at most 10 monomials.
-POWER_LIST_CAP = 10**7
-
 
 def lattice_points(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """The principal lattice of order `degree`: the point (1, e_1, ..., e_{n-1})
@@ -126,26 +106,32 @@ class CompositeVeronese:
         return values
 
 
+def relations_steps(nvars: int, degrees) -> int:
+    """The estimated work of the chain's relations: a stage of m monomials
+    (counted up to the cap) in n coordinates is listed, traced to the source
+    exponents and evaluated at 50 check points, m*n*(nvars + 51) steps."""
+    dims = [nvars]
+    for e in degrees:
+        dims.append(count_monomials(dims[-1], e, WORK_CAP))
+    return sum(m * n * (nvars + 51) for n, m in zip(dims, dims[1:]))
+
+
 def composite_veronese(nvars: int, degrees) -> CompositeVeronese:
     """Build the chain nu_{e_m} o ... o nu_{e_1} on `nvars` source variables.
 
-    Raises AmbientTooLarge when a stage would have more than AMBIENT_CAP
-    coordinates, counting that stage's monomials only up to the cap.
+    Raises AmbientTooLarge, before any stage is listed, when its
+    `relations_steps` pass the work cap.
     """
     if nvars < 2:
         raise ValueError("composite Veronese needs at least 2 source variables")
     degrees = tuple(int(e) for e in degrees)
     if not degrees or any(e < 2 for e in degrees):
         raise ValueError("all Veronese degrees must be >= 2")
-    dims = [nvars]
-    stages = []
-    for e in degrees:
-        count = count_monomials(dims[-1], e, AMBIENT_CAP)
-        if count > AMBIENT_CAP:
-            raise AmbientTooLarge(f"stage ambient of at least {count} exceeds the cap {AMBIENT_CAP}")
-        stages.append(tuple(monomials_of_degree(dims[-1], e)))
-        dims.append(count)
-    return CompositeVeronese(nvars, degrees, tuple(stages), tuple(dims))
+    refuse_past_cap(f"n={nvars} d={','.join(map(str, degrees))}", relations_steps(nvars, degrees))
+    stages = [tuple(monomials_of_degree(nvars, degrees[0]))]
+    for e in degrees[1:]:
+        stages.append(tuple(monomials_of_degree(len(stages[-1]), e)))
+    return CompositeVeronese(nvars, degrees, tuple(stages), (nvars, *map(len, stages)))
 
 
 def _source_exponents(cv: CompositeVeronese) -> list[Monomial]:
@@ -208,6 +194,7 @@ def empirical_secant_dim(
     if s < 1:
         raise ValueError("secant order s must be >= 1")
     arch = validate((nvars, s, 1), (deg,))
+    refuse_past_cap(arch.label(), sampling_steps(arch, tries))
     rank, _ = generic_rank(gauge_fix(arch), tries=tries, seed=seed, domain=domain)
     return rank
 
@@ -260,7 +247,9 @@ def _rows_power_rank(rows, monos, nvars: int, s: int, r: int, domain) -> tuple[b
 
     Raises ValueError over F_p when p <= s*r.  Certificate at k points drawn
     from the rows and r, modulo the domain's prime or CERTIFICATE_FIELD's;
-    otherwise the exact rank at the lattice of degree s*r.
+    otherwise the exact rank at the N points of the lattice of degree s*r,
+    refused past the work cap: N*M*(nvars*(1 + bitlen(s)) + k) steps to
+    evaluate, as for the certificate, and N*k*min(N, k) to eliminate.
     """
     p = domain.p
     if p and p <= s * r:
@@ -271,6 +260,9 @@ def _rows_power_rank(rows, monos, nvars: int, s: int, r: int, domain) -> tuple[b
     certificate = _power_values(rows, monos, _certificate_points(rows, r, nvars, q), r, q)
     if exact_rank(certificate, field) == k:
         return True, k
+    n, value = count_monomials(nvars, s * r, WORK_CAP), nvars * (1 + s.bit_length()) + k
+    refuse_past_cap(f"vars={nvars} and form degree={s} at power {r}",
+                    n * len(monos) * value + n * k * min(n, k))
     rank = exact_rank(_power_values(rows, monos, lattice_points(nvars, s * r), r, p), domain)
     return rank == k, rank
 
@@ -328,6 +320,17 @@ class PowerScanReport:
         return self.independent == self.trials
 
 
+def power_scan_steps(nvars: int, k: int, s: int, trials: int, find_min_power: bool) -> int:
+    """The estimated work of `power_threshold_scan`: M*nvars to list M monomials
+    (counted up to the cap), per trial 16*k*M for draws and k*k*M for
+    proportionality checks, and per power tried (k with `find_min_power`)
+    k*M*(nvars*(1 + bitlen(s)) + k) to evaluate the certificate, k^3 to rank it."""
+    m = count_monomials(nvars, s, WORK_CAP)
+    certificate = k * m * (nvars * (1 + s.bit_length()) + k) + k**3
+    trial = 16 * k * m + k * k * m + (k if find_min_power else 1) * certificate
+    return m * nvars + trials * trial
+
+
 def power_threshold_scan(
     nvars: int,
     count: int,
@@ -352,9 +355,8 @@ def power_threshold_scan(
     degree, a count below 1 or a negative power, and when two or more forms
     are asked of a single monomial (one variable, or form degree 0), where no
     pairwise non-proportional forms exist.  Raises AmbientTooLarge, naming
-    vars and form degree, for a form space whose M monomials would take more
-    than POWER_LIST_CAP steps, M * (vars + form degree), to list; M is counted
-    before any is listed.
+    vars and form degree, when its `power_scan_steps` pass the work cap, and
+    at the lattice fallback of `_rows_power_rank`.
     """
     if nvars < 1:
         raise ValueError(f"vars={nvars}: nvars must be >= 1")
@@ -364,14 +366,8 @@ def power_threshold_scan(
         raise ValueError("trials must be >= 1")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    steps = nvars + form_degree
-    monomials = count_monomials(nvars, form_degree, POWER_LIST_CAP // steps)
-    if monomials * steps > POWER_LIST_CAP:
-        raise AmbientTooLarge(
-            f"vars={nvars} and form degree={form_degree}: listing at least "
-            f"{monomials} monomials of {steps} steps each passes the power lab's "
-            f"cap of {POWER_LIST_CAP} steps"
-        )
+    refuse_past_cap(f"vars={nvars} and form degree={form_degree}",
+                    power_scan_steps(nvars, count, form_degree, trials, find_min_power))
     if count > 1 and (nvars == 1 or form_degree == 0):
         raise ValueError(
             f"count={count} needs pairwise non-proportional forms, but vars={nvars} "

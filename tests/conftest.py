@@ -21,3 +21,15 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def work_cap(monkeypatch):
+    """Set `poly.WORK_CAP` for one test, in every module that reads it."""
+    from neurovar import poly, rank, scan, theory, veronese
+
+    def set_cap(value):
+        for module in (poly, rank, scan, theory, veronese):
+            monkeypatch.setattr(module, "WORK_CAP", value)
+
+    return set_cap

@@ -1,5 +1,8 @@
-"""Shared fixtures for the test suite: transcribed golden data and CLI driver."""
+"""Shared fixtures for the test suite: transcribed golden data, CLI driver, report parser."""
 
+import csv
+import io
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from neurovar.poly import SparsePoly
+from neurovar.scan import REPORT_KEYS
 from oracle import weight_name
 
 # Shorthand for weight names in golden data: a01 -> w1_0_1, b10 -> w2_1_0, ...
@@ -119,3 +123,39 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
     )
+
+
+def _csv_value(key: str, cell: str):
+    if cell == "":
+        return None
+    if key in ("arch", "degrees"):
+        return [int(v) for v in cell.split(",")] if cell else []
+    if key == "pivot":
+        if ";" in cell:
+            return [int(v) for v in cell.split(";")]
+        return int(cell)
+    if key == "defective":
+        return cell == "true"
+    if key in ("expdim", "expdim_refined", "dim_actual", "fiber_dim", "trials", "seed", "wall_ms"):
+        return int(cell)
+    return cell
+
+
+def parse_report(text: str, fmt: str = "json") -> list[dict]:
+    """Parse a report of `neurovar.scan.emit_report` back into its records."""
+    if fmt == "json":
+        return [{k: rec.get(k) for k in REPORT_KEYS} for rec in json.loads(text)]
+    if fmt == "csv":
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader)
+        if tuple(header) != REPORT_KEYS:
+            raise ValueError("unexpected CSV header")
+        out = []
+        for row in reader:
+            rec = {k: _csv_value(k, cell) for k, cell in zip(header, row)}
+            # degrees may legitimately be empty for depth-1 networks
+            if rec["degrees"] is None:
+                rec["degrees"] = []
+            out.append(rec)
+        return out
+    raise ValueError("format must be 'json' or 'csv'")

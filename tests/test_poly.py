@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic: pinned examples, ring-axiom properties and the
 agreement of the packed (Kronecker) product with the dict loop."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -40,6 +41,21 @@ def test_monomials_of_degree_count_and_order(nvars, deg):
     assert len(monos) == math.comb(nvars - 1 + deg, nvars - 1)
     assert monos == sorted(monos, reverse=True)
     assert all(sum(m) == deg for m in monos)
+
+
+@pytest.mark.parametrize("nvars", range(1, 6))
+def test_monomials_of_degree_matches_the_combination_order(nvars):
+    # The compositions are generated directly, one from the last; the order
+    # is that of the exponent tuples of the degree-deg combinations of the
+    # variables, sorted descending.
+    for deg in range(13):
+        reference = []
+        for combo in itertools.combinations_with_replacement(range(nvars), deg):
+            exp = [0] * nvars
+            for i in combo:
+                exp[i] += 1
+            reference.append(tuple(exp))
+        assert monomials_of_degree(nvars, deg) == sorted(reference, reverse=True)
 
 
 @pytest.mark.parametrize("nvars", range(1, 9))

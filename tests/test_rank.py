@@ -310,7 +310,7 @@ def _bound_grid():
     hidden layer, 25 of which the cut bound puts below expected_dim."""
     spec = ScanSpec(depths=(2, 3), min_width=1, max_width=3, max_out_width=2,
                     min_degree=2, max_degree=3, max_ambient=30)
-    return grid_architectures(spec)
+    return grid_architectures(spec)[0]
 
 
 def test_dim_upper_bound_holds_and_cuts_are_exact():
@@ -543,8 +543,8 @@ def test_adjoint_jacobian_matches_tangent_reference():
     (2,1,2,1,2)/(2,3,2) among them), a depth-1 map and the tctc gauge, in a
     small and a large prime field and over Q."""
     bounds = dict(max_out_width=3, max_degree=3, max_free=40, max_ambient=60)
-    grid = (grid_architectures(ScanSpec(depths=(2, 3), max_width=3, **bounds))
-            + grid_architectures(ScanSpec(depths=(4,), max_width=2, **bounds)))
+    grid = (grid_architectures(ScanSpec(depths=(2, 3), max_width=3, **bounds))[0]
+            + grid_architectures(ScanSpec(depths=(4,), max_width=2, **bounds))[0])
     gmaps = [gauge_fix(arch) for arch in grid] + [
         gauge_fix(validate((2, 3), ())),
         gauge_fix(validate((2, 2, 2, 1), (3, 3)), mask=tctc_gauge_mask()),

@@ -6,14 +6,16 @@ import math
 import os
 import re
 import shlex
+import time
 import types
 from pathlib import Path
 
 import pytest
 
-from support import run_cli
+from support import parse_report, run_cli
 
 import neurovar.cli as cli_module
+import neurovar.poly as poly_module
 import neurovar.rank as rank_module
 import neurovar.veronese as veronese_module
 from neurovar.cli import main
@@ -24,7 +26,6 @@ from neurovar.scan import (
     ScanSpec,
     emit_report,
     grid_architectures,
-    parse_report,
     scan,
 )
 from neurovar.theory import ah_secant_defective
@@ -85,7 +86,7 @@ def test_scan_empty_grid():
 def test_grid_architectures_sorted_and_filtered():
     spec = ScanSpec(depths=(2, 3), max_width=3, max_out_width=2, max_degree=3,
                     max_free=20, max_ambient=500)
-    archs = grid_architectures(spec)
+    archs = grid_architectures(spec)[0]
     keys = [(a.depth, a.widths, a.degrees) for a in archs]
     assert keys == sorted(keys)
     assert all(a.free_weight_count <= 20 for a in archs)
@@ -436,25 +437,19 @@ def test_cli_rational_field_accepts_prime_auto(monkeypatch, capsys):
     assert json.loads(with_auto)["domain"] == "rational"
 
 
-@pytest.mark.parametrize("degrees", ["60,60", "5,20"])
+@pytest.mark.parametrize("degrees", ["60,60", "5,40"])
 def test_cli_relations_refuses_ambient_past_cap(degrees, monkeypatch, capsys):
-    # A stage past the cap is refused from its size alone: enumerating its
-    # monomials, or computing relations on it, would not finish.
-    enumerate_monomials = veronese_module.monomials_of_degree
-
-    def bounded(nvars, deg):
-        count = math.comb(nvars - 1 + deg, deg)
-        assert count <= veronese_module.AMBIENT_CAP, f"enumerated {count} monomials"
-        return enumerate_monomials(nvars, deg)
-
+    # A chain past the cap is refused from its stage sizes alone: listing a
+    # stage's monomials, or computing relations on it, would not finish.
     def unreachable(*args, **kwargs):
-        raise AssertionError("relations computed on an ambient past the cap")
+        raise AssertionError("stages listed or relations computed past the cap")
 
-    monkeypatch.setattr(veronese_module, "monomials_of_degree", bounded)
+    monkeypatch.setattr(veronese_module, "monomials_of_degree", unreachable)
     monkeypatch.setattr(cli_module, "image_linear_relations", unreachable)
     assert main(["relations", "-n", "2", "-d", degrees]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: stage ambient ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: n=2 d={degrees}: about 10^") and err.count("\n") == 1, err
+    assert err.endswith(f" steps of work, past the cap of {poly_module.WORK_CAP}\n"), err
 
 
 def test_cli_power_indep_refuses_form_space_past_cap(monkeypatch, capsys):
@@ -490,23 +485,73 @@ def test_cli_refuses_outputs_past_the_monomial_cap(argv, monkeypatch, capsys):
     assert captured.out == ""
     err = captured.err
     assert err.startswith("error: n=(") and err.count("\n") == 1, err
-    assert f"past the sampling cap {rank_module.OUTPUT_MONOMIAL_CAP}" in err
+    assert err.endswith(f" steps of work, past the cap of {poly_module.WORK_CAP}\n"), err
 
 
 def test_block_ranks_refuses_outputs_past_the_monomial_cap(monkeypatch):
+    # One trial on binom(100002, 2) = 5,000,150,001 output monomials, each
+    # run through 78 products: about 6.4e12 steps.
     gmap = gauge_fix(validate((3, 2, 1), (10**5,)))
     monkeypatch.setattr(rank_module, "monomials_of_degree", _unlisted)
-    with pytest.raises(AmbientTooLarge, match="at least 100002 monomials of degree 100000, past"):
+    monkeypatch.setattr(math, "comb", _unlisted)
+    with pytest.raises(AmbientTooLarge, match=r"^n=\(3,2,1\) d=\(100000\): about 10\^13 steps"):
         rank_module.block_ranks(gmap, (1, 1), rank_module.CERTIFICATE_FIELD)
 
 
 def test_monomial_cap_admits_every_pinned_architecture():
-    # The tests, the golden files and the benchmark answers reach M = 969.
-    assert rank_module.OUTPUT_MONOMIAL_CAP >= 969
+    # The largest output (M = 969) and the largest estimate (the criterion-9
+    # row (4,4,4,2)/(4,4) at 10 tries) of the tests and the benchmark.
     largest = validate((4, 2, 3, 2), (4, 4))
     assert largest.ambient_per_output == 969
-    rank_module._check_output_size(largest)
-    rank_module._check_output_size(validate((6, 2, 2, 1), (3, 3)))
+    assert rank_module.sampling_steps(largest, rank_module.DEFAULT_TRIES) <= poly_module.WORK_CAP
+    costliest = validate((4, 4, 4, 2), (4, 4))
+    assert rank_module.sampling_steps(costliest, rank_module.DEFAULT_TRIES) <= poly_module.WORK_CAP
+    assert rank_module.sampling_steps(validate((6, 2, 2, 1), (3, 3)), 1) <= poly_module.WORK_CAP
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "-n", "40,40,1", "-d", "2"],
+    ["veronese-secant", "-n", "40", "-d", "2", "-s", "400"],
+    ["power-indep", "--vars", "60", "--count", "60", "--form-degree", "3", "--trials", "1"],
+    ["check", "-n", "1000000,3,1", "-d", "1000000"],
+    ["check", "-n", "100000,3,1", "-d", "100000", "--json"],
+])
+def test_cli_refuses_work_past_the_cap_at_once(argv, monkeypatch, capsys):
+    # Each ran past 20 s, or (the --json check) failed to print a binomial of
+    # over 4,300 digits; now each is one line and exit 1 from its estimate,
+    # with nothing listed and no binomial formed.
+    monkeypatch.setattr(rank_module, "monomials_of_degree", _unlisted)
+    monkeypatch.setattr(veronese_module, "monomials_of_degree", _unlisted)
+    monkeypatch.setattr(math, "comb", _unlisted)
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert captured.err.endswith(f" steps of work, past the cap of {poly_module.WORK_CAP}\n")
+
+
+def test_scan_skips_rows_past_the_work_cap(capsys):
+    # The single row (2,2,1)/(20001) would take about 2e8 steps over 10 tries:
+    # it is skipped like a row past --max-free, not reported as an error.
+    argv = ["scan", "--depths", "2", "--min-width", "2", "--max-width", "2", "--max-out", "1",
+            "--min-degree", "20001", "--max-degree", "20001", "--max-ambient", "100000"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == []
+    assert captured.err == ("scanned 0 architectures: 0 disagreements, 0 errors, "
+                            "1 skipped past the work cap\n")
+
+
+def test_grid_architectures_counts_rows_past_the_cap(work_cap):
+    spec = ScanSpec(depths=(2,), min_width=2, max_width=2, max_out_width=1, max_degree=3)
+    small, large = (validate((2, 2, 1), (d,)) for d in (2, 3))
+    steps = rank_module.sampling_steps(small, spec.tries)
+    assert steps < rank_module.sampling_steps(large, spec.tries)
+    work_cap(steps)
+    assert grid_architectures(spec) == ([small], 1)
+    assert [row.arch for row in scan(spec)] == [small]
 
 
 def test_cli_scan_defaults_are_scan_spec_defaults(monkeypatch, capsys):

@@ -54,19 +54,27 @@ def test_composite_veronese_plane_quadrics():
     assert len(cv.stage_monomials[0]) == 6
 
 
-def test_composite_veronese_rejects_huge_ambient():
-    # Stage 2 would have binom(10, 5) = 252 coordinates, past the cap of 200;
-    # counting stops at the first partial binomial past it, binom(10, 4) = 210.
-    with pytest.raises(AmbientTooLarge, match="stage ambient of at least 210 exceeds the cap 200"):
+def test_composite_veronese_rejects_huge_ambient(monkeypatch):
+    # Stage 2 of (3; 2, 5) has binom(10, 5) = 252 coordinates in 6, so the
+    # relations take 252 * 6 * (3 + 51) = 81,648 steps after the 6 * 3 * 54
+    # of stage 1: admitted at a cap of 82,620 and refused one below.
+    steps = 6 * 3 * 54 + 252 * 6 * 54
+    monkeypatch.setattr(poly_module, "WORK_CAP", steps)
+    assert composite_veronese(3, [2, 5]).ambient == 252
+    monkeypatch.setattr(poly_module, "WORK_CAP", steps - 1)
+    with pytest.raises(AmbientTooLarge, match=r"^n=3 d=2,5: about 10\^5 steps of work, "
+                                              f"past the cap of {steps - 1}$"):
         composite_veronese(3, [2, 5])
 
 
-def test_composite_veronese_default_cap_admits_only_affordable_kernels():
-    # Ambient 55 (the largest chain in the benchmark) passes; ambient
-    # 53,130 is refused before its monomials are listed.
+def test_composite_veronese_default_cap_admits_only_affordable_kernels(monkeypatch):
+    # Ambient 55 (the largest chain in the benchmark) passes, and so does
+    # ambient 53,130 (5 s); a degree-40 stage on 6 coordinates, 1,221,759
+    # coordinates, is refused before any stage is listed.
     assert composite_veronese(4, [2, 2]).ambient == 55
-    with pytest.raises(AmbientTooLarge, match="stage ambient of at least 300 exceeds the cap 200"):
-        composite_veronese(2, [5, 20])
+    monkeypatch.setattr(veronese_module, "monomials_of_degree", _unlisted)
+    with pytest.raises(AmbientTooLarge, match=r"^n=2 d=5,40: about 10\^9 steps of work"):
+        composite_veronese(2, [5, 40])
 
 
 def test_composite_veronese_refuses_huge_stage_without_its_binomial(monkeypatch):
@@ -76,8 +84,13 @@ def test_composite_veronese_refuses_huge_stage_without_its_binomial(monkeypatch)
         raise AssertionError("math.comb called on a stage past the cap")
 
     monkeypatch.setattr(math, "comb", unformed)
-    with pytest.raises(AmbientTooLarge, match="stage ambient of at least 1999999 exceeds"):
+    monkeypatch.setattr(veronese_module, "monomials_of_degree", _unlisted)
+    with pytest.raises(AmbientTooLarge, match=r"^n=1000000 d=1000000: about 10\^\d+ steps"):
         composite_veronese(10**6, [10**6])
+
+
+def _unlisted(*args):
+    raise AssertionError("monomials listed past the cap")
 
 
 def test_composite_veronese_rejects_bad_input():
@@ -529,7 +542,7 @@ def test_power_threshold_scan_rejects_bad_input(nvars, count, form_degree, power
         power_threshold_scan(nvars, count, form_degree, trials=3, seed=8, power=power)
 
 
-@pytest.mark.parametrize("nvars, form_degree", [(20, 20), (10, 13), (2, 10**7), (10**7, 1),
+@pytest.mark.parametrize("nvars, form_degree", [(20, 20), (10, 15), (2, 10**7), (10**7, 1),
                                                 (10**6, 10**6)])
 def test_power_threshold_scan_refuses_form_space_past_cap(nvars, form_degree, monkeypatch):
     # The form space is counted, not listed: the C(39, 20) ~ 6.9e10 monomials
@@ -543,17 +556,20 @@ def test_power_threshold_scan_refuses_form_space_past_cap(nvars, form_degree, mo
 
 
 def test_power_threshold_scan_cap_counts_monomials_times_steps(monkeypatch):
-    # Linear forms in n variables list n monomials of n + 1 steps each.
-    monkeypatch.setattr(veronese_module, "POWER_LIST_CAP", 200 * 201)
+    # Two linear forms in n variables: n*n steps to list their n monomials,
+    # then 16*2*n draws, 4*n proportionality steps and 2*n*(2*n + 2) + 8 for
+    # the certificate; 208,008 steps at n = 200 and 210,053 at n = 201.
+    monkeypatch.setattr(poly_module, "WORK_CAP", 208_008)
     assert power_threshold_scan(200, 2, 1, trials=1, seed=8).all_independent
-    with pytest.raises(AmbientTooLarge, match="^vars=201 and form degree=1: "):
+    with pytest.raises(AmbientTooLarge, match="^vars=201 and form degree=1: about 10\\^5 steps"):
         power_threshold_scan(201, 2, 1, trials=1, seed=8)
 
 
 @pytest.mark.parametrize("nvars, form_degree", [(3, 20), (201, 1), (2, 200)])
 def test_power_threshold_scan_accepts_form_spaces_past_ambient_cap(nvars, form_degree):
-    # More monomials than the relations' AMBIENT_CAP, but cheap to list and scan.
-    assert math.comb(nvars - 1 + form_degree, form_degree) > veronese_module.AMBIENT_CAP
+    # More monomials than a relations stage could have under its former cap of
+    # 200, but cheap to list and scan, so the one work cap admits them.
+    assert math.comb(nvars - 1 + form_degree, form_degree) > 200
     assert power_threshold_scan(nvars, 3, form_degree, trials=2, seed=8).all_independent
 
 
