@@ -35,7 +35,7 @@ from .rank import (
     resolve_domain,
     sampling_steps,
 )
-from .scan import ScanSpec, emit_report, grid_architectures, report_record, scan
+from .scan import ScanSpec, emit_report, grid_architectures, report_record, scan_architectures
 from .theory import expected_secant_dim, ah_secant_defective, theorem_verdict, verdict_steps
 from .veronese import composite_veronese, empirical_secant_dim, image_linear_relations, power_threshold_scan
 
@@ -201,8 +201,8 @@ def cmd_scan(args) -> int:
         max_free=args.max_free,
         max_ambient=args.max_ambient,
     )
-    past_cap = grid_architectures(spec)[1]
-    rows = scan(spec)
+    archs, past_cap = grid_architectures(spec)
+    rows = scan_architectures(spec, archs)
     text = emit_report(rows, fmt="csv" if args.csv else "json", path=args.out)
     if args.out is None:
         sys.stdout.write(text)

@@ -194,7 +194,14 @@ def _compute_row(args) -> ScanRow:
 
 
 def scan(spec: ScanSpec, workers: int | None = None) -> list[ScanRow]:
-    """Run the grid scan; deterministic given the spec, whatever the schedule.
+    """Run the grid scan; deterministic given the spec, whatever the schedule."""
+    return scan_architectures(spec, grid_architectures(spec)[0], workers)
+
+
+def scan_architectures(spec: ScanSpec, archs: list[Architecture],
+                       workers: int | None = None) -> list[ScanRow]:
+    """One row per architecture of `archs`, sampled with the spec's tries,
+    seed and field, in order.
 
     Per-row errors are recorded in the row rather than aborting the scan.
     `workers` defaults to the NV_THREADS environment variable (else serial)
@@ -206,7 +213,6 @@ def scan(spec: ScanSpec, workers: int | None = None) -> list[ScanRow]:
             workers = int(env)
         except ValueError:
             raise ValueError(f"NV_THREADS must be an integer, got {env!r}") from None
-    archs = grid_architectures(spec)[0]
     domain = resolve_domain(spec.field, spec.prime, spec.seed)
     jobs = [(arch, spec.tries, spec.seed, domain) for arch in archs]
     workers = min(workers, os.cpu_count() or 1, len(jobs))

@@ -216,10 +216,10 @@ def theorem_verdict(arch: Architecture) -> Verdict:
 def verdict_steps(arch: Architecture) -> int:
     """The estimated work of `theorem_verdict(arch)` and its report: the
     squared bit length (decimal conversion is quadratic) of each room bound
-    and, for several outputs, binom(n_0-1+D, D), counted up to 2^isqrt(cap)."""
+    and, for several outputs, binom(n_0-1+D, D), counted up to 2^floor(sqrt(cap))."""
     pairs = list(zip(arch.widths, arch.degrees))
     pairs += [(arch.n_in, arch.total_degree)] * (arch.n_out > 1)
-    cap = (1 << math.isqrt(WORK_CAP)) - 1
+    cap = (1 << int(WORK_CAP ** 0.5)) - 1
     return sum(count_monomials(n, d, cap).bit_length() ** 2 for n, d in pairs)
 
 

@@ -14,7 +14,8 @@ with depth and degree, so only small architectures are affordable.
 per free weight through every later layer, with `SparsePoly` products.
 
 `const`, `neg`, `sub` and `is_zero` are the polynomial operations only the
-tests need.
+tests need; `reference_product` is the product `SparsePoly` multiplication
+is checked against, one tuple sum per pair of terms.
 
 `lattice_relations` is the oracle for the relations on a composite Veronese
 image: the kernel (`nullspace`, by elimination) of the chain evaluated at the
@@ -269,6 +270,19 @@ def neg(poly):
 def sub(a, b):
     """a - b."""
     return a + neg(b)
+
+
+def reference_product(a, b, p):
+    """The term map of the product of the term maps `a` and `b`, one exponent
+    tuple built per pair of terms, reduced mod p over F_p."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(int.__add__, ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    if p:
+        out = {m: c % p for m, c in out.items()}
+    return {m: c for m, c in out.items() if c}
 
 
 def is_zero(poly):

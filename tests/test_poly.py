@@ -1,5 +1,6 @@
-"""Sparse polynomial arithmetic: pinned examples, ring-axiom properties and the
-agreement of the packed (Kronecker) product with the dict loop."""
+"""Sparse polynomial arithmetic: pinned examples, ring-axiom properties, and the
+agreement of both product paths (the pair loop over monomial keys and the
+packed Kronecker product) with the reference tuple walk."""
 
 import itertools
 import math
@@ -13,7 +14,7 @@ from neurovar import poly as poly_module
 from neurovar.domains import PrimeField, RATIONALS
 from neurovar.poly import Ring, SparsePoly, count_monomials, monomials_of_degree, poly_pow
 from neurovar.rank import auto_prime_field
-from oracle import const, evaluate, neg, partial, sub
+from oracle import const, evaluate, neg, partial, reference_product, sub
 
 PRIME = PrimeField((1 << 61) - 1)
 SMALL = PrimeField(7)
@@ -265,10 +266,13 @@ def _random_poly(ring, rng):
     return SparsePoly(ring, terms)
 
 
-# -- packed (Kronecker) products ---------------------------------------------------
+# -- products: the pair loop over monomial keys and the packed (Kronecker) path ---
 
 PRODUCT_FIELDS = [PrimeField(2), PrimeField(3), SMALL, PrimeField(7919), PRIME,
                   auto_prime_field(1729), RATIONALS]
+# PACK_FACTOR values that send every product to one path: 0 packs every
+# homogeneous product with int coefficients, infinity packs none.
+PACKED, LOOP = 0, math.inf
 
 
 def _homogeneous(nvars, deg, rng, p, density=1.0, low=-9, high=9):
@@ -283,71 +287,100 @@ def _homogeneous(nvars, deg, rng, p, density=1.0, low=-9, high=9):
     return terms
 
 
+def _product_on(path, a, b, p):
+    """`_product(a, b, p)` with PACK_FACTOR set to `path`, and the number of
+    times it packed."""
+    calls = []
+
+    def packed(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = poly_module._packed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "PACK_FACTOR", path)
+        mp.setattr(poly_module, "_packed", packed)
+        return poly_module._product(a, b, p), len(calls)
+
+
+def _refuse(*args):
+    raise AssertionError("packed a product that should run the pair loop")
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 6),
        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from(PRODUCT_FIELDS),
        st.integers(0, 2**32))
 def test_packed_product_equals_the_dict_loop(nvars, da, db, fa, fb, domain, seed):
-    # Any sizes, the zero polynomial (density 0), constants (degree 0) and
-    # single terms included; over F_2 and F_3 most sums cancel.
+    # Both paths equal the reference tuple walk on any sizes, the zero
+    # polynomial (density 0), constants (degree 0) and single terms included;
+    # over F_2 and F_3 most sums cancel.  A factor of one term (every factor
+    # in one variable) shifts the other's monomials on either path.
     rng = random.Random(seed)
     p = domain.p
     a = _homogeneous(nvars, da, rng, p, fa)
     b = _homogeneous(nvars, db, rng, p, fb)
-    packed = poly_module._packed_product(a, b, p)
-    assert packed == poly_module._dict_product(a, b, p)
+    expected = reference_product(a, b, p)
+    packed, packs = _product_on(PACKED, a, b, p)
+    assert (packed, packs) == (expected, int(len(a) > 1 and len(b) > 1))
+    assert _product_on(LOOP, a, b, p) == (expected, 0)
     assert all(0 < c < p if p else c != 0 for c in packed.values())
     ring = Ring([f"x{i}" for i in range(nvars)], domain)
-    assert (SparsePoly(ring, a) * SparsePoly(ring, b)).terms == packed
+    assert (SparsePoly(ring, a) * SparsePoly(ring, b)).terms == expected
 
 
 @pytest.mark.parametrize("domain", PRODUCT_FIELDS, ids=lambda d: str(d.p))
 def test_packed_product_on_both_sides_of_the_crossover(domain):
     rng = random.Random(domain.p)
     p = domain.p
-    for nvars, da, db in ((2, 30, 7), (3, 4, 4), (3, 6, 6), (4, 3, 2), (4, 3, 3), (4, 12, 4)):
+    # The last two shapes have 10.8 and 8.7 pairs per slot, past the crossover.
+    shapes = ((2, 30, 7), (3, 4, 4), (3, 6, 6), (4, 3, 2), (4, 3, 3), (4, 12, 4),
+              (2, 20, 20), (3, 10, 8))
+    for i, (nvars, da, db) in enumerate(shapes):
         a = _homogeneous(nvars, da, rng, p)
         b = _homogeneous(nvars, db, rng, p)
-        product = poly_module._dict_product(a, b, p)
-        assert poly_module._packed_product(a, b, p) == product
+        product = reference_product(a, b, p)
+        assert _product_on(PACKED, a, b, p) == (product, 1)
+        assert _product_on(LOOP, a, b, p) == (product, 0)
+        assert _product_on(poly_module.PACK_FACTOR, a, b, p) == (product, int(i >= 6))
         ring = Ring([f"x{i}" for i in range(nvars)], domain)
         assert (SparsePoly(ring, a) * SparsePoly(ring, b)).terms == product
-    # Wide Q coefficients: the slot width follows the largest one.
+    # Wide Q coefficients of both signs: the slot width follows the largest one.
     a = _homogeneous(3, 5, rng, 0, low=-10**40, high=10**40)
     b = _homogeneous(3, 4, rng, 0, low=-10**25, high=10**25)
-    assert poly_module._packed_product(a, b, 0) == poly_module._dict_product(a, b, 0)
+    product = reference_product(a, b, 0)
+    assert _product_on(PACKED, a, b, 0) == (product, 1)
+    assert _product_on(LOOP, a, b, 0) == (product, 0)
 
 
 @pytest.mark.parametrize("domain", PRODUCT_FIELDS, ids=lambda d: str(d.p))
 def test_packed_product_cancels_to_two_terms(domain):
     # (x - y) * (x^200 + x^199*y + ... + y^200) = x^201 - y^201: 402 term
-    # pairs, every inner sum zero.
+    # pairs, every inner sum zero, on both paths.
     p = domain.p
     minus_one = -1 % p if p else -1
     ring = Ring(["x", "y"], domain)
     diff = SparsePoly(ring, {(1, 0): 1, (0, 1): minus_one})
     geometric = SparsePoly(ring, {m: 1 for m in monomials_of_degree(2, 200)})
-    assert poly_module._packing_pays(diff.terms, geometric.terms)
     expected = {(201, 0): 1, (0, 201): minus_one}
     assert (diff * geometric).terms == expected
-    assert poly_module._dict_product(diff.terms, geometric.terms, p) == expected
+    assert reference_product(diff.terms, geometric.terms, p) == expected
+    assert _product_on(PACKED, diff.terms, geometric.terms, p) == (expected, 1)
+    assert _product_on(LOOP, geometric.terms, diff.terms, p) == (expected, 0)
 
 
 def test_deep_product_does_not_run_the_dict_loop(monkeypatch):
     # A product of the size deep-dims multiplies (455 x 35 terms of degrees 12
-    # and 4 in 4 variables) must take the packed path.
+    # and 4 in 4 variables: 15,925 pairs over 4,625 slots) runs the pair loop
+    # over monomial keys, not the packed path and not the reference tuple walk.
     domain = auto_prime_field(1729)
     rng = random.Random(12)
     ring = Ring([f"x{i}" for i in range(4)], domain)
     a = SparsePoly(ring, _homogeneous(4, 12, rng, domain.p))
     b = SparsePoly(ring, _homogeneous(4, 4, rng, domain.p))
     assert (len(a.terms), len(b.terms)) == (455, 35)
-    expected = poly_module._dict_product(a.terms, b.terms, domain.p)
-
-    def refuse(*args):
-        raise AssertionError("dict loop called on a product that should pack")
-
-    monkeypatch.setattr(poly_module, "_dict_product", refuse)
+    expected = reference_product(a.terms, b.terms, domain.p)
+    monkeypatch.setattr(poly_module, "_packed", _refuse)
     assert (a * b).terms == expected
     assert (b * a).terms == expected
 
@@ -356,23 +389,40 @@ def test_dict_loop_keeps_what_packing_cannot_or_should_not_take(monkeypatch):
     rng = random.Random(5)
     p = PRIME.p
     cases = [
-        # Below the crossover: 15 x 15 = 225 pairs.
-        (_homogeneous(3, 4, rng, p), _homogeneous(3, 4, rng, p), p),
         # Not homogeneous.
-        ({**_homogeneous(3, 6, rng, p), (0, 0, 0): 1}, _homogeneous(3, 6, rng, p), p),
+        ({**_homogeneous(3, 10, rng, p), (0, 0, 0): 1}, _homogeneous(3, 10, rng, p), p),
         # Fraction coefficients over Q.
-        ({m: Fraction(c, 3) for m, c in _homogeneous(3, 6, rng, 0).items()},
-         _homogeneous(3, 6, rng, 0), 0),
+        ({m: Fraction(c, 3) for m, c in _homogeneous(3, 10, rng, 0).items()},
+         _homogeneous(3, 10, rng, 0), 0),
+    ]
+    # These cannot pack at any PACK_FACTOR; each would pack at the default
+    # were it homogeneous with int coefficients (about 4,000 pairs over 421 slots).
+    for a, b, q in cases:
+        assert _product_on(PACKED, a, b, q) == (reference_product(a, b, q), 0)
+    cases += [
+        # Below the crossover: 28 x 28 = 784 pairs over 157 slots.
+        (_homogeneous(3, 6, rng, p), _homogeneous(3, 6, rng, p), p),
         # Six variables: the slots outnumber the pairs (14,407 slots, 3,136 pairs).
         (_homogeneous(6, 3, rng, p), _homogeneous(6, 3, rng, p), p),
     ]
-    expected = [poly_module._dict_product(a, b, q) for a, b, q in cases]
-
-    def refuse(*args):
-        raise AssertionError("packed a product that should stay on the dict loop")
-
-    monkeypatch.setattr(poly_module, "_packed_product", refuse)
+    expected = [reference_product(a, b, q) for a, b, q in cases]
+    monkeypatch.setattr(poly_module, "_packed", _refuse)
     for (a, b, q), want in zip(cases, expected):
-        assert not poly_module._packing_pays(a, b)
         ring = Ring([f"x{i}" for i in range(len(next(iter(a))))], PrimeField(q) if q else RATIONALS)
         assert (SparsePoly(ring, a) * SparsePoly(ring, b)).terms == want
+
+
+@pytest.mark.parametrize("nvars,da,db", [(2, 2000, 2000), (3, 60, 60), (2, 64463, 65536)])
+def test_large_homogeneous_products_pack(monkeypatch, nvars, da, db):
+    # A binary square of degree 2000 (4,004,001 pairs over 4,001 slots), a
+    # ternary one of degree 60 (3,575,881 over 14,521) and the largest product
+    # of `dims -n 2,1,1 -d 130000` (a power's 64,464 terms times its base's
+    # 65,537) take the packed path; the packed helper is replaced, so only the
+    # routing is checked here.
+    domain = auto_prime_field(1729)
+    ring = Ring([f"x{i}" for i in range(nvars)], domain)
+    a, b = (SparsePoly(ring, {m: 1 + sum(m[1:]) for m in monomials_of_degree(nvars, d)})
+            for d in (da, db))
+    routed = {}
+    monkeypatch.setattr(poly_module, "_packed", lambda *args: routed)
+    assert (a * b).terms is routed

@@ -17,6 +17,7 @@ from support import parse_report, run_cli
 import neurovar.cli as cli_module
 import neurovar.poly as poly_module
 import neurovar.rank as rank_module
+import neurovar.scan as scan_module
 import neurovar.veronese as veronese_module
 from neurovar.cli import main
 from neurovar.errors import AmbientTooLarge
@@ -557,9 +558,26 @@ def test_grid_architectures_counts_rows_past_the_cap(work_cap):
 def test_cli_scan_defaults_are_scan_spec_defaults(monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)
     specs = []
-    monkeypatch.setattr(cli_module, "scan", lambda spec: specs.append(spec) or [])
+    monkeypatch.setattr(cli_module, "scan_architectures",
+                        lambda spec, archs: specs.append(spec) or [])
     assert main(["scan"]) == 0
     assert specs == [ScanSpec()]
+
+
+def test_cli_scan_walks_the_grid_once(monkeypatch, capsys):
+    # The rows and the count skipped past the cap come from one walk.
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return grid_architectures(spec)
+
+    monkeypatch.setattr(scan_module, "grid_architectures", counted)
+    monkeypatch.setattr(cli_module, "grid_architectures", counted)
+    argv = ["scan", "--depths", "2", "--max-width", "2", "--max-out", "1", "--max-degree", "3"]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 8
+    assert len(calls) == 1
 
 
 def _readme_cli_examples():
