@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .domains import RATIONALS
 from .errors import ArchitectureError, NeurovarError, SamplingExhausted
@@ -142,35 +143,20 @@ def cmd_check(args) -> int:
     arch = validate(_int_list(args.widths), _int_list(args.degrees or ""))
     refuse_past_cap(arch.label(), verdict_steps(arch))
     verdict = theorem_verdict(arch)
+    evidence, q = asdict(verdict), verdict.ah_query
     record = {
         "arch": list(arch.widths),
         "degrees": list(arch.degrees),
         "verdict": verdict.label(),
-        "room": [
-            {"layer": lv.layer, "lhs": lv.lhs, "rhs": lv.rhs, "holds": lv.holds}
-            for lv in verdict.room.levels
-        ],
-        "last_veronese": {
-            "nvars": verdict.ah_query[0],
-            "deg": verdict.ah_query[1],
-            "secant_order": verdict.ah_query[2],
-            "defective": verdict.ah_defective,
-        },
-        "condition3": (
-            {
-                "single_output_expdim": verdict.condition3.single_output_expdim,
-                "parameter_count": verdict.condition3.parameter_count,
-                "holds": verdict.condition3.holds,
-            }
-            if verdict.condition3 is not None
-            else None
-        ),
+        "room": evidence["room"],
+        "last_veronese": {"nvars": q[0], "deg": q[1], "secant_order": q[2],
+                          "defective": verdict.ah_defective},
+        "condition3": evidence["condition3"],
     }
     lines = [f"architecture      {arch.label()}", f"verdict           {verdict.label()}"]
-    for lv in verdict.room.levels:
+    for lv in verdict.room:
         cmp = "<" if lv.holds else ">="
         lines.append(f"room level {lv.layer}      {lv.lhs} {cmp} {lv.rhs}")
-    q = verdict.ah_query
     lines.append(
         f"last Veronese     V^{q[0]-1}_{q[1]} secant order {q[2]}: "
         + ("defective" if verdict.ah_defective else "not defective")

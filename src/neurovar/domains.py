@@ -18,16 +18,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-# Witness set that makes Miller-Rabin deterministic for every n < 3.3e24,
-# far above the 2^62 moduli used here.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The 13 primes 2..41 as witnesses make Miller-Rabin deterministic for every
+# n < _MR_BOUND, a strong pseudoprime to all 13 and far above the 2^62 moduli
+# drawn here (2..37 alone pass 318665857834031151167461 = 399165290221 *
+# 798330580441).  PrimeField refuses moduli at or past the bound.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 PRIME_LO = 1 << 60
 PRIME_HI = 1 << 62
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test (deterministic for n < 3.3e24)."""
+    """Miller-Rabin primality test (deterministic for n < _MR_BOUND)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -86,6 +89,9 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p: int):
+        if p >= _MR_BOUND:
+            raise ValueError(f"PrimeField modulus {p} is past the proven primality range "
+                             f"(below {_MR_BOUND})")
         if not is_probable_prime(p):
             raise ValueError(f"PrimeField modulus must be prime, got {p}")
         self.p = p

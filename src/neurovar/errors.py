@@ -33,10 +33,6 @@ class LengthMismatch(ArchitectureError):
         )
 
 
-class NotSingleOutput(NeurovarError):
-    """Refined expected dimension is defined only for single-output networks."""
-
-
 class PivotVanishes(NeurovarError):
     """The dehomogenization pivot coefficient is zero at the sample point."""
 

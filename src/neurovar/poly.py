@@ -84,10 +84,13 @@ def monomials_of_degree(nvars: int, deg: int) -> list[Monomial]:
     return out
 
 
-def count_monomials(nvars: int, deg: int, cap: int) -> int:
+def count_monomials(nvars: int, deg: int, cap: int | None = None) -> int:
     """binom(nvars-1+deg, deg), the number of degree-`deg` monomials in `nvars`
-    variables, if it is at most `cap`; else the first binom(nvars-1+deg, i),
-    i = 0, 1, ..., past `cap` (at least 2**i, so no huge binomial is formed)."""
+    variables, if it is at most `cap` (default `WORK_CAP`); else the first
+    binom(nvars-1+deg, i), i = 0, 1, ..., past `cap` (at least 2**i, so no huge
+    binomial is formed)."""
+    if cap is None:
+        cap = WORK_CAP
     count, i = 1, 1
     while count <= cap and i <= min(nvars - 1, deg):
         count, i = count * (nvars + deg - i) // i, i + 1
@@ -109,10 +112,15 @@ def count_monomials(nvars: int, deg: int, cap: int) -> int:
 WORK_CAP = 100_000_000
 
 
+def past_cap(steps: int) -> bool:
+    """Whether estimated `steps` pass WORK_CAP."""
+    return steps > WORK_CAP
+
+
 def refuse_past_cap(what: str, steps: int) -> None:
     """Raise AmbientTooLarge, naming the inputs as `what`, when a verb's
     estimated `steps` pass WORK_CAP."""
-    if steps > WORK_CAP:
+    if past_cap(steps):
         raise AmbientTooLarge(f"{what}: about 10^{round(log10(steps))} steps of work, "
                               f"past the cap of {WORK_CAP}")
 

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 from math import lcm
 
 from .domains import RATIONALS, PrimeField, random_prime
-from .errors import NotSingleOutput, PivotVanishes, SamplingExhausted
+from .errors import PivotVanishes, SamplingExhausted
 from .network import Architecture, GaugedMap, gauge_fix
-from .poly import WORK_CAP, Ring, count_monomials, monomials_of_degree, refuse_past_cap
+from .poly import Ring, count_monomials, monomials_of_degree, refuse_past_cap
 from .theory import (
     dim_upper_bound,
     expected_dim,
@@ -313,7 +313,7 @@ def sampling_steps(arch: Architecture, tries: int) -> int:
     M*n_0, runs n_L*(W*L + 1) products of up to M terms at 16 steps a term,
     plus 2*bitlen(d_t) per unit of hidden layer t for its power, and
     eliminates the n_L*(M - 1) x W Jacobian, rows*W*min(rows, W)."""
-    m = count_monomials(arch.n_in, arch.total_degree, WORK_CAP)
+    m = count_monomials(arch.n_in, arch.total_degree)
     w = arch.free_weight_count
     rows = arch.n_out * (m - 1)
     powers = sum(n * d.bit_length() for n, d in zip(arch.widths[1:], arch.degrees))
@@ -423,14 +423,10 @@ def neurovariety_stats(
         domain = auto_prime_field(seed)
     gmap = gauge_fix(arch)
     dim_actual, witness = generic_rank(gmap, tries, seed, domain)
-    try:
-        refined = expected_dim_single_output(arch)
-    except NotSingleOutput:
-        refined = None
     return DimReport(
         arch=arch,
         expdim_general=expected_dim_general(arch),
-        expdim_refined=refined,
+        expdim_refined=expected_dim_single_output(arch),
         dim_actual=dim_actual,
         fiber_dim=gmap.domain_dim - dim_actual,
         defective=dim_actual < expected_dim(arch),

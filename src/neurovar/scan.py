@@ -18,9 +18,9 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
+from . import poly
 from .errors import NeurovarError
 from .network import Architecture, validate
-from .poly import WORK_CAP, refuse_past_cap
 from .rank import (DEFAULT_SEED, DEFAULT_TRIES, DimReport, neurovariety_stats, resolve_domain,
                    sampling_steps)
 from .theory import (
@@ -148,8 +148,8 @@ def grid_architectures(spec: ScanSpec) -> tuple[list[Architecture], int]:
     widths = range(spec.min_width, spec.max_width + 1)
     degrees = range(spec.min_degree, spec.max_degree + 1)
     outs = range(1, min(spec.max_width, spec.max_out_width) + 1)
-    e = WORK_CAP.bit_length() + 1  # bounds may pass len()'s range
-    refuse_past_cap("scan grid", sum(
+    e = poly.WORK_CAP.bit_length() + 1  # bounds may pass len()'s range
+    poly.refuse_past_cap("scan grid", sum(
         16 * L * (outs.stop - 1) * (widths.stop - widths.start) ** min(L, e)
         * (degrees.stop - degrees.start) ** min(L - 1, e) for L in set(spec.depths)))
     archs, past_cap = [], 0
@@ -160,7 +160,7 @@ def grid_architectures(spec: ScanSpec) -> tuple[list[Architecture], int]:
                     arch = validate(hidden + (out,), ds)
                     if arch.free_weight_count > spec.max_free:
                         continue
-                    if sampling_steps(arch, spec.tries) > WORK_CAP:
+                    if poly.past_cap(sampling_steps(arch, spec.tries)):
                         past_cap += 1
                     elif arch.n_out * arch.ambient_per_output <= spec.max_ambient:
                         archs.append(arch)

@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotSingleOutput
+from . import poly
 from .network import Architecture, validate
-from .poly import WORK_CAP, count_monomials
 
 # Verdict kinds.
 PREDICTED_NON_DEFECTIVE = "PredictedNonDefective"
@@ -29,8 +28,9 @@ def expected_dim_general(arch: Architecture) -> int:
     return min(arch.free_weight_count, arch.target_affine_dim)
 
 
-def expected_dim_single_output(arch: Architecture) -> int:
-    """Refined expected dimension for single-output networks of depth >= 2.
+def expected_dim_single_output(arch: Architecture) -> int | None:
+    """Refined expected dimension for single-output networks of depth >= 2,
+    None for any other architecture (n_L != 1 or L < 2).
 
     Adds a third bound to the general formula: parameters of the layers below
     the last Veronese plus the projective dimension of the space that
@@ -41,7 +41,7 @@ def expected_dim_single_output(arch: Architecture) -> int:
     dimension by one in every filling case.
     """
     if arch.n_out != 1 or arch.depth < 2:
-        raise NotSingleOutput(f"architecture {arch.label()} is not single-output of depth >= 2")
+        return None
     n = arch.widths
     L = arch.depth
     lower = sum(n[i] * (n[i - 1] - 1) for i in range(1, L - 1))
@@ -51,9 +51,8 @@ def expected_dim_single_output(arch: Architecture) -> int:
 
 def expected_dim(arch: Architecture) -> int:
     """The applicable expected dimension: refined when n_L = 1 and L >= 2."""
-    if arch.n_out == 1 and arch.depth >= 2:
-        return expected_dim_single_output(arch)
-    return expected_dim_general(arch)
+    refined = expected_dim_single_output(arch)
+    return expected_dim_general(arch) if refined is None else refined
 
 
 def dim_upper_bound(arch: Architecture) -> int:
@@ -87,24 +86,9 @@ class LevelRoom:
     holds: bool
 
 
-@dataclass(frozen=True)
-class RoomCheck:
-    levels: tuple[LevelRoom, ...]
-
-    @property
-    def all_hold(self) -> bool:
-        return all(lv.holds for lv in self.levels)
-
-    @property
-    def first_failure(self) -> int | None:
-        for lv in self.levels:
-            if not lv.holds:
-                return lv.layer
-        return None
-
-
-def room_condition(arch: Architecture) -> RoomCheck:
-    """Strict room inequalities for layers i = 1..L-1 (requires L >= 2)."""
+def room_condition(arch: Architecture) -> tuple[LevelRoom, ...]:
+    """Strict room inequalities for layers i = 1..L-1 (requires L >= 2), one
+    `LevelRoom` per layer in layer order."""
     if arch.depth < 2:
         raise ValueError("room condition needs at least one hidden layer (L >= 2)")
     n = arch.widths
@@ -113,7 +97,7 @@ def room_condition(arch: Architecture) -> RoomCheck:
         lhs = n[i - 1] + n[i] - 1
         rhs = math.comb(n[i - 1] - 1 + arch.degrees[i - 1], n[i - 1] - 1)
         levels.append(LevelRoom(i, lhs, rhs, lhs < rhs))
-    return RoomCheck(tuple(levels))
+    return tuple(levels)
 
 
 def ah_secant_defective(nvars: int, deg: int, s: int) -> bool:
@@ -145,23 +129,25 @@ def expected_secant_dim(nvars: int, deg: int, s: int) -> int:
 @dataclass(frozen=True)
 class Condition3:
     """Identifiability condition for n_L >= 2: the single-output companion
-    architecture must have expected dimension equal to its parameter count."""
+    architecture must have expected dimension equal to its parameter count
+    (`holds`)."""
 
     single_output_expdim: int
     parameter_count: int
-
-    @property
-    def holds(self) -> bool:
-        return self.single_output_expdim == self.parameter_count
+    holds: bool
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the theorem predicates, with the evidence that produced it."""
+    """Outcome of the theorem predicates, with the evidence that produced it:
+    `room` is `room_condition`'s tuple of levels, `failing_layer` the layer of
+    the first failing level for RoomFails (else None), `ah_query` the last Veronese's
+    (nvars, deg, secant order), and `condition3` the companion check for
+    n_L >= 2 (None for one output and for Inconclusive)."""
 
     kind: str
     failing_layer: int | None
-    room: RoomCheck
+    room: tuple[LevelRoom, ...]
     ah_query: tuple[int, int, int]
     ah_defective: bool
     condition3: Condition3 | None
@@ -197,13 +183,12 @@ def theorem_verdict(arch: Architecture) -> Verdict:
     cond3 = None
     if arch.n_out >= 2:
         companion = validate(n[:L] + (1,), arch.degrees)
-        cond3 = Condition3(
-            expected_dim_single_output(companion),
-            companion.free_weight_count,
-        )
+        refined, count = expected_dim_single_output(companion), companion.free_weight_count
+        cond3 = Condition3(refined, count, refined == count)
 
-    if not room.all_hold:
-        return Verdict(ROOM_FAILS, room.first_failure, room, ah_query, ah_def, cond3)
+    failing = next((lv.layer for lv in room if not lv.holds), None)
+    if failing is not None:
+        return Verdict(ROOM_FAILS, failing, room, ah_query, ah_def, cond3)
     if ah_def:
         return Verdict(LAST_VERONESE_DEFECTIVE, None, room, ah_query, ah_def, cond3)
     if arch.n_out == 1:
@@ -219,8 +204,8 @@ def verdict_steps(arch: Architecture) -> int:
     and, for several outputs, binom(n_0-1+D, D), counted up to 2^floor(sqrt(cap))."""
     pairs = list(zip(arch.widths, arch.degrees))
     pairs += [(arch.n_in, arch.total_degree)] * (arch.n_out > 1)
-    cap = (1 << int(WORK_CAP ** 0.5)) - 1
-    return sum(count_monomials(n, d, cap).bit_length() ** 2 for n, d in pairs)
+    cap = (1 << int(poly.WORK_CAP ** 0.5)) - 1
+    return sum(poly.count_monomials(n, d, cap).bit_length() ** 2 for n, d in pairs)
 
 
 def necessity_scope(arch: Architecture) -> bool:

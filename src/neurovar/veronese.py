@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import ProportionalPair
 from .network import gauge_fix, validate
-from .poly import WORK_CAP, Monomial, count_monomials, monomials_of_degree, refuse_past_cap
+from .poly import Monomial, count_monomials, monomials_of_degree, refuse_past_cap
 from .rank import (
     CERTIFICATE_FIELD,
     DEFAULT_SEED,
@@ -112,7 +112,7 @@ def relations_steps(nvars: int, degrees) -> int:
     exponents and evaluated at 50 check points, m*n*(nvars + 51) steps."""
     dims = [nvars]
     for e in degrees:
-        dims.append(count_monomials(dims[-1], e, WORK_CAP))
+        dims.append(count_monomials(dims[-1], e))
     return sum(m * n * (nvars + 51) for n, m in zip(dims, dims[1:]))
 
 
@@ -260,7 +260,7 @@ def _rows_power_rank(rows, monos, nvars: int, s: int, r: int, domain) -> tuple[b
     certificate = _power_values(rows, monos, _certificate_points(rows, r, nvars, q), r, q)
     if exact_rank(certificate, field) == k:
         return True, k
-    n, value = count_monomials(nvars, s * r, WORK_CAP), nvars * (1 + s.bit_length()) + k
+    n, value = count_monomials(nvars, s * r), nvars * (1 + s.bit_length()) + k
     refuse_past_cap(f"vars={nvars} and form degree={s} at power {r}",
                     n * len(monos) * value + n * k * min(n, k))
     rank = exact_rank(_power_values(rows, monos, lattice_points(nvars, s * r), r, p), domain)
@@ -325,7 +325,7 @@ def power_scan_steps(nvars: int, k: int, s: int, trials: int, find_min_power: bo
     (counted up to the cap), per trial 16*k*M for draws and k*k*M for
     proportionality checks, and per power tried (k with `find_min_power`)
     k*M*(nvars*(1 + bitlen(s)) + k) to evaluate the certificate, k^3 to rank it."""
-    m = count_monomials(nvars, s, WORK_CAP)
+    m = count_monomials(nvars, s)
     certificate = k * m * (nvars * (1 + s.bit_length()) + k) + k**3
     trial = 16 * k * m + k * k * m + (k if find_min_power else 1) * certificate
     return m * nvars + trials * trial

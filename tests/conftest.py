@@ -25,11 +25,10 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture
 def work_cap(monkeypatch):
-    """Set `poly.WORK_CAP` for one test, in every module that reads it."""
-    from neurovar import poly, rank, scan, theory, veronese
+    """Set `poly.WORK_CAP`, which every module reads from `poly`, for one test."""
+    from neurovar import poly
 
     def set_cap(value):
-        for module in (poly, rank, scan, theory, veronese):
-            monkeypatch.setattr(module, "WORK_CAP", value)
+        monkeypatch.setattr(poly, "WORK_CAP", value)
 
     return set_cap

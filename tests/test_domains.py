@@ -22,6 +22,8 @@ def test_is_probable_prime_matches_trial_division():
     assert is_probable_prime(2**61 - 1)  # Mersenne prime
     assert not is_probable_prime(2**61 + 1)
     assert not is_probable_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+    # A strong pseudoprime to the 12 primes 2..37, caught by the witness 41.
+    assert not is_probable_prime(399165290221 * 798330580441)
 
 
 def test_prime_field_requires_prime_modulus():
@@ -30,6 +32,16 @@ def test_prime_field_requires_prime_modulus():
     with pytest.raises(ValueError):
         PrimeField(1)
     assert PrimeField(7).p == 7
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError, match="318665857834031151167461"):
+        PrimeField(318665857834031151167461)
+    # The witnesses 2..41 decide primality only below this composite, a strong
+    # pseudoprime to all 13, so it and every larger modulus are refused.
+    bound = 1287836182261 * 2575672364521
+    assert bound == 3317044064679887385961981 and is_probable_prime(bound)
+    for p in (bound, bound + 2):
+        with pytest.raises(ValueError, match=f"modulus {p} .*below {bound}"):
+            PrimeField(p)
 
 
 def test_random_prime_range_and_determinism():

@@ -39,7 +39,13 @@ CASES = {
                                    "--json"],
     "dims-2321-33-rational": ["dims", "-n", "2,3,2,1", "-d", "3,3", "--field", "rational"],
     "dims-2222-33-confirm-json": ["dims", "-n", "2,2,2,2", "-d", "3,3", "--confirm-rational", "--json"],
-    "veronese-secant-5-3-7": ["veronese-secant", "-n", "5", "-d", "3", "-s", "7"],
+    "check-2221-23": ["check", "-n", "2,2,2,1", "-d", "2,3"],
+    "check-351-4": ["check", "-n", "3,5,1", "-d", "4"],
+    "check-4142-34-json": ["check", "-n", "4,1,4,2", "-d", "3,4", "--json"],
+    "check-2222-33-json": ["check", "-n", "2,2,2,2", "-d", "3,3", "--json"],
+    "check-3332-22": ["check", "-n", "3,3,3,2", "-d", "2,2"],
+    "check-3332-22-json": ["check", "-n", "3,3,3,2", "-d", "2,2", "--json"],
+    "veronese-secant-5-3-7":["veronese-secant", "-n", "5", "-d", "3", "-s", "7"],
     "veronese-secant-3-4-5-rational": ["veronese-secant", "-n", "3", "-d", "4", "-s", "5",
                                        "--field", "rational"],
     "power-indep-3-4-2-find-min-json": ["power-indep", "--vars", "3", "--count", "4",

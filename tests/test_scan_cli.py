@@ -404,12 +404,15 @@ def test_cli_scan_respects_worker_env():
         (["dims", "-n", "2,2,1", "-d", "2", "--field", "rational", "--prime", "15"], {}),
         (["scan", "--max-free", "-1"], {}),
         (["scan", "--max-ambient", "-5"], {}),
+        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "318665857834031151167461"], {}),
+        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "3317044064679887385961981"], {}),
     ],
     ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
          "check-depth-1", "seed-abc", "power-vars-1", "power-form-degree-0", "power-count-0",
          "power-negative", "depths-empty", "power-vars-0", "power-form-degree-negative",
          "dims-prime-2", "dims-prime-3", "scan-prime-5", "secant-prime-101", "rational-prime",
-         "scan-max-free-negative", "scan-max-ambient-negative"],
+         "scan-max-free-negative", "scan-max-ambient-negative", "prime-pseudoprime-to-37",
+         "prime-past-primality-range"],
 )
 def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
     monkeypatch.delenv("NV_SEED", raising=False)

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from neurovar.errors import NotSingleOutput
 from neurovar.network import validate
 from neurovar.theory import (
     FILLING_CASE_UNRESOLVED,
@@ -65,10 +64,9 @@ def test_expected_dim_single_output_depth_two_secant_cap():
 
 
 def test_expected_dim_single_output_rejects_multi_output():
-    with pytest.raises(NotSingleOutput):
-        expected_dim_single_output(validate((2, 2, 2), (2,)))
-    with pytest.raises(NotSingleOutput):
-        expected_dim_single_output(validate((3, 1), ()))
+    # Off its domain the refined dimension is None, as every report prints it.
+    assert expected_dim_single_output(validate((2, 2, 2), (2,))) is None
+    assert expected_dim_single_output(validate((3, 1), ())) is None
 
 
 @pytest.mark.parametrize(
@@ -109,16 +107,16 @@ def test_refined_never_exceeds_general():
     ],
 )
 def test_room_condition_failures(widths, degrees, layer, lhs, rhs):
-    check = room_condition(validate(widths, degrees))
-    level = check.levels[layer - 1]
+    arch = validate(widths, degrees)
+    level = room_condition(arch)[layer - 1]
     assert (level.lhs, level.rhs, level.holds) == (lhs, rhs, False)
-    assert check.first_failure == layer
+    assert theorem_verdict(arch).failing_layer == layer
 
 
 def test_room_condition_guiding_example_holds():
-    check = room_condition(validate((2, 3, 2, 1), (4, 3)))
-    assert [(lv.lhs, lv.rhs) for lv in check.levels] == [(4, 5), (4, 10)]
-    assert check.all_hold
+    levels = room_condition(validate((2, 3, 2, 1), (4, 3)))
+    assert [(lv.lhs, lv.rhs) for lv in levels] == [(4, 5), (4, 10)]
+    assert all(lv.holds for lv in levels)
 
 
 @pytest.mark.parametrize(
@@ -196,7 +194,7 @@ def test_theorem_verdict_filling_case():
     # Over-wide final layer: the single-output companion fills, so the
     # identifiability condition fails while room and table pass.
     verdict = theorem_verdict(validate((2, 2, 2, 2), (2, 3)))
-    assert verdict.room.all_hold is False or verdict.kind in (
+    assert not all(lv.holds for lv in verdict.room) or verdict.kind in (
         FILLING_CASE_UNRESOLVED,
         ROOM_FAILS,
     )
@@ -254,7 +252,7 @@ def test_corollary_threshold_multi_output_room_and_table():
             continue
         verdict = theorem_verdict(arch)
         assert verdict.kind in (PREDICTED_IDENTIFIABLE, FILLING_CASE_UNRESOLVED), arch.label()
-        assert verdict.room.all_hold
+        assert all(lv.holds for lv in verdict.room)
         assert not verdict.ah_defective
         if verdict.kind == PREDICTED_IDENTIFIABLE:
             seen_identifiable += 1

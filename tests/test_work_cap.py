@@ -17,6 +17,7 @@ from neurovar.network import validate
 from neurovar.poly import WORK_CAP
 from neurovar.rank import sampling_steps
 from neurovar.scan import ScanSpec, grid_architectures
+from neurovar.theory import verdict_steps
 from neurovar.veronese import power_scan_steps, relations_steps
 from test_golden_outputs import CASES
 
@@ -41,6 +42,8 @@ def _golden_steps(argv) -> int:
     if args.command == "dims":
         arch = validate(_int_list(args.widths), _int_list(args.degrees))
         return sampling_steps(arch, args.tries + 3 * args.confirm_rational)
+    if args.command == "check":
+        return verdict_steps(validate(_int_list(args.widths), _int_list(args.degrees)))
     if args.command == "veronese-secant":
         return sampling_steps(validate((args.nvars, args.secant, 1), (args.deg,)), args.tries)
     if args.command == "power-indep":
