@@ -26,17 +26,19 @@ derivatives of a symbolic coefficient map on small cases, and entry for entry
 against a forward-tangent assembly (one tangent pass per free weight) on a
 small grid.
 
-A field is read off its characteristic `domain.p` (0 for Q).  One forward
-row-echelon routine, `_echelon`, serves rank: ordinary elimination modulo p
-for prime fields, fraction-free (Bareiss) elimination over the integers after
-clearing denominators for rational matrices; `exact_rank` counts its pivots.
+A field is read off its characteristic `domain.p` (0 for Q).  One echelon
+routine, `_echelon`, serves rank: row-by-row elimination modulo p for prime
+fields, fraction-free (Bareiss) elimination over the integers after clearing
+denominators for rational matrices; `exact_rank` counts its pivots.  It
+stops at min(rows, cols) or at a proven rank bound from the caller: the
+pivot rows are independent, so the rank is at least their count and, by
+the bound, at most it.  `jacobian_at` passes `theory.dim_upper_bound`,
+since the rank at a point is at most the generic rank, hence the dimension.
 
-A rational rank starts with a full-rank certificate: the same routine modulo
-the fixed prime q of CERTIFICATE_FIELD on the cleared integer rows.  Rank
-modulo a prime never exceeds the rational rank, so when it reaches
-min(rows, cols) a maximal minor is nonzero mod q, hence a nonzero integer,
-and that is the answer; otherwise Bareiss decides.  Either way the rank is
-exact.
+A rational rank starts with a certificate: the same routine modulo the fixed
+prime q of CERTIFICATE_FIELD on the cleared integer rows.  Rank modulo a
+prime never exceeds the rational rank, so a count there that meets the
+bound is the answer; otherwise Bareiss decides.  Either way it is exact.
 """
 
 from __future__ import annotations
@@ -90,21 +92,45 @@ def resolve_domain(field: str, prime: int | None, seed: int):
 # -- exact elimination ---------------------------------------------------------
 
 
-def _echelon(m: list[list[int]], p: int) -> list[int]:
-    """Forward row echelon form of the integer rows `m`, in place; returns the
-    pivot columns, pivot row r being m[r].
+def _echelon(m: list[list[int]], p: int, bound: int | None = None) -> list[int]:
+    """The pivot columns, in increasing order, of a row echelon form of the
+    integer rows `m`, until their count reaches `bound` (default
+    min(rows, cols)).
 
-    p > 0: elimination modulo p on entries already reduced mod p.  p == 0:
-    fraction-free (Bareiss) elimination over the integers, where every
-    division is exact and the last pivot is the determinant of the pivot
-    block.  Only rows below a pivot are eliminated.
+    p > 0: row by row, `m` left as it is; each row is reduced against the
+    pivot rows so far, keyed by leading column and scaled to a leading 1,
+    and one that stays nonzero becomes a pivot row.  An entry is reduced
+    mod p only when read, so `m` may hold any ints.  p == 0: fraction-free
+    (Bareiss) elimination in place, where every division is exact.
     """
-    nrows = len(m)
     ncols = len(m[0])
+    limit = min(len(m), ncols) if bound is None else bound
+    if p:
+        reduced: dict[int, list[int]] = {}
+        for row in m:
+            if len(reduced) == limit:
+                break
+            for c in range(ncols):
+                f = row[c] % p
+                if not f:
+                    continue
+                prow = reduced.get(c)
+                if prow is None:
+                    # The pivot that meets the limit is never read: not scaled.
+                    if len(reduced) + 1 < limit:
+                        inv = pow(f, -1, p)
+                        row = [v * inv % p for v in row]
+                    reduced[c] = row
+                    break
+                row = [a - f * b for a, b in zip(row, prow)]
+        return sorted(reduced)
+    nrows = len(m)
     pivots: list[int] = []
     prev = 1
     for col in range(ncols):
         rank = len(pivots)
+        if rank == limit:
+            break
         piv = None
         for i in range(rank, nrows):
             if m[i][col]:
@@ -115,33 +141,21 @@ def _echelon(m: list[list[int]], p: int) -> list[int]:
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         pv = prow[col]
-        if p:
-            inv = pow(pv, -1, p)
-            for i in range(rank + 1, nrows):
-                ri = m[i]
-                f = ri[col]
-                if f:
-                    f = f * inv % p
-                    for c in range(col, ncols):
-                        ri[c] = (ri[c] - f * prow[c]) % p
-        else:
-            for i in range(rank + 1, nrows):
-                ri = m[i]
-                f = ri[col]
-                for c in range(col + 1, ncols):
-                    ri[c] = (pv * ri[c] - f * prow[c]) // prev
-                ri[col] = 0
-            prev = pv
+        for i in range(rank + 1, nrows):
+            ri = m[i]
+            f = ri[col]
+            for c in range(col + 1, ncols):
+                ri[c] = (pv * ri[c] - f * prow[c]) // prev
+            ri[col] = 0
+        prev = pv
         pivots.append(col)
-        if rank + 1 == nrows:
-            break
     return pivots
 
 
 def _integer_rows(matrix, domain) -> tuple[list[list[int]], int]:
-    """Integer copies of the rows and the modulus `_echelon` takes: entries
-    reduced mod p over F_p; over Q (p = 0) each row times the lcm of its
-    denominators (1 for a row of ints)."""
+    """Integer copies of the rows and their modulus: entries reduced mod p
+    over F_p; over Q (p = 0) each row times the lcm of its denominators (1
+    for a row of ints)."""
     p = domain.p
     if p:
         return [[v % p for v in row] for row in matrix], p
@@ -152,23 +166,25 @@ def _integer_rows(matrix, domain) -> tuple[list[list[int]], int]:
     return cleared, 0
 
 
-def exact_rank(matrix, domain) -> int:
-    """Exact rank of a matrix of domain elements (rows of equal length).
+def exact_rank(matrix, domain, bound: int | None = None) -> int:
+    """min(rank, `bound`) of a matrix of domain elements (rows of equal
+    length): its rank when `bound` is None or a proven upper bound on it.
 
-    Over Q the cleared integer rows are first eliminated modulo the prime q
-    of CERTIFICATE_FIELD: a rank of min(rows, cols) there proves full rational
-    rank.  A lower rank mod q proves nothing (q may divide every nonzero
-    maximal minor), so Bareiss then runs on the integer rows.
+    Elimination stops once the pivots reach min(rows, cols, `bound`).  Over
+    Q the cleared integer rows are first eliminated modulo the prime q of
+    CERTIFICATE_FIELD: rank modulo a prime never exceeds the rational rank,
+    so a count that meets that limit is the answer.  A lower one proves
+    nothing (q may divide every nonzero minor of that size), and Bareiss
+    then runs on the integer rows.
     """
-    m, p = _integer_rows(matrix, domain)
-    if not m:
+    if not matrix:
         return 0
-    if not p:
-        q = CERTIFICATE_FIELD.p
-        full = min(len(m), len(m[0]))
-        if len(_echelon([[v % q for v in row] for row in m], q)) == full:
-            return full
-    return len(_echelon(m, p))
+    limit = min(len(matrix), len(matrix[0]), len(matrix) if bound is None else bound)
+    if domain.p:
+        return len(_echelon(matrix, domain.p, limit))
+    m = _integer_rows(matrix, domain)[0]
+    rank = len(_echelon(m, CERTIFICATE_FIELD.p, limit))
+    return rank if rank == limit else len(_echelon(m, 0, limit))
 
 
 # -- forward value pass and reverse (adjoint) pass -----------------------------
@@ -300,7 +316,9 @@ def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
                 kept.append(adj)
         upper = kept
 
-    rank = exact_rank(rows, domain) if nrows else 0
+    # Interleaved by output, the rows reach the rank sooner than output-major.
+    interleaved = [row for i in range(span) for row in rows[i::span]]
+    rank = exact_rank(interleaved, domain, dim_upper_bound(arch)) if nrows else 0
     return JacobianSample(rows, rank, (nrows, ncols))
 
 

@@ -17,9 +17,11 @@ per free weight through every later layer, with `SparsePoly` products.
 tests need; `reference_product` is the product `SparsePoly` multiplication
 is checked against, one tuple sum per pair of terms.
 
-`lattice_relations` is the oracle for the relations on a composite Veronese
-image: the kernel (`nullspace`, by elimination) of the chain evaluated at the
-principal lattice, as coefficient vectors.
+`reference_echelon` is the column-by-column elimination the row-by-row
+kernel `rank._echelon` is checked against, and `nullspace` back-substitutes
+on its echelon rows.  `lattice_relations` is the oracle for the relations on
+a composite Veronese image: the kernel (`nullspace`) of the chain evaluated
+at the principal lattice, as coefficient vectors.
 
 `reference_power_scan` is the per-trial route of the criterion-8 power lab,
 the reference for `veronese.power_threshold_scan`: each trial's forms are
@@ -41,7 +43,7 @@ from neurovar.domains import RATIONALS
 from neurovar.errors import PivotVanishes
 from neurovar.network import gauge_fix
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree
-from neurovar.rank import _echelon, _forward_cached, _integer_rows, auto_prime_field, derive_seed
+from neurovar.rank import _forward_cached, _integer_rows, auto_prime_field, derive_seed
 from neurovar.veronese import (
     PowerScanReport,
     _proportional,
@@ -171,20 +173,69 @@ def tangent_jacobian(gmap, point, domain):
     return rows
 
 
+def reference_echelon(m: list[list[int]], p: int) -> list[int]:
+    """Forward row echelon form of the integer rows `m`, in place, column by
+    column; returns the pivot columns, pivot row r being m[r].  The reference
+    for `rank._echelon`.
+
+    p > 0: elimination modulo p on entries already reduced mod p.  p == 0:
+    fraction-free (Bareiss) elimination over the integers, where every
+    division is exact and the last pivot is the determinant of the pivot
+    block.  Only rows below a pivot are eliminated.
+    """
+    nrows = len(m)
+    ncols = len(m[0])
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = None
+        for i in range(rank, nrows):
+            if m[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        pv = prow[col]
+        if p:
+            inv = pow(pv, -1, p)
+            for i in range(rank + 1, nrows):
+                ri = m[i]
+                f = ri[col]
+                if f:
+                    f = f * inv % p
+                    for c in range(col, ncols):
+                        ri[c] = (ri[c] - f * prow[c]) % p
+        else:
+            for i in range(rank + 1, nrows):
+                ri = m[i]
+                f = ri[col]
+                for c in range(col + 1, ncols):
+                    ri[c] = (pv * ri[c] - f * prow[c]) // prev
+                ri[col] = 0
+            prev = pv
+        pivots.append(col)
+        if rank + 1 == nrows:
+            break
+    return pivots
+
+
 def nullspace(rows, domain) -> list[list]:
     """Reduced basis of {v : A v = 0} over the field of the matrix A.
 
     One vector per non-pivot column f of the echelon form, with 1 at f and 0
     at every other non-pivot column, in column order.  Back-substitution on
-    the echelon rows of `rank._echelon`: over F_p by pivot inverses; over Q on
-    integers scaled by the last pivot, which by Cramer's rule clears every
-    denominator, so each division is exact.
+    the echelon rows of `reference_echelon`: over F_p by pivot inverses; over
+    Q on integers scaled by the last pivot, which by Cramer's rule clears
+    every denominator, so each division is exact.
     """
     m, p = _integer_rows(rows, domain)
     if not m:
         return []
     ncols = len(m[0])
-    pivots = _echelon(m, p)
+    pivots = reference_echelon(m, p)
     scale = m[len(pivots) - 1][pivots[-1]] if pivots and not p else 1
     invs = [pow(m[r][c], -1, p) for r, c in enumerate(pivots)] if p else None
     basis = []

@@ -32,6 +32,8 @@ CASES = {
     },
     "dims-4232-44-json": ["dims", "-n", "4,2,3,2", "-d", "4,4", "--json"],
     "dims-34441-222": ["dims", "-n", "3,4,4,4,1", "-d", "2,2,2"],
+    "dims-34441-222-rational-json": ["dims", "-n", "3,4,4,4,1", "-d", "2,2,2", "--field",
+                                     "rational", "--json"],
     "dims-4142-34": ["dims", "-n", "4,1,4,2", "-d", "3,4"],
     "dims-4231-34": ["dims", "-n", "4,2,3,1", "-d", "3,4"],
     "dims-4341-34": ["dims", "-n", "4,3,4,1", "-d", "3,4"],

@@ -4,17 +4,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neurovar.domains import PrimeField, RATIONALS
 from neurovar.errors import PivotVanishes, SamplingExhausted
 from neurovar.network import gauge_fix, validate
 from neurovar.poly import Ring, poly_pow
-from oracle import evaluate, is_zero, nullspace, partial, symbolic_map, tangent_jacobian
+from oracle import (
+    evaluate,
+    is_zero,
+    nullspace,
+    partial,
+    reference_echelon,
+    symbolic_map,
+    tangent_jacobian,
+)
 from support import reference_rank, tctc_gauge_mask
 
 import neurovar.rank as rank_module
 from neurovar.rank import (
     CERTIFICATE_FIELD,
+    _echelon,
+    _integer_rows,
     auto_prime_field,
     block_ranks,
     derive_seed,
@@ -136,14 +147,15 @@ def _certificate_prime_matrices(rng):
 def test_exact_rank_certificate_falls_back_on_full_rank(monkeypatch):
     # [[q, 0], [0, 1]] has rank 1 modulo q and rank 2 over Q: the certificate
     # fails and Bareiss gives the rank.  A matrix that is nonsingular modulo
-    # q is answered by the certificate alone; over F_p no certificate runs.
+    # q is answered by the certificate alone, and so is one whose rank modulo
+    # q meets a bound below min(rows, cols); over F_p no certificate runs.
     q = CERTIFICATE_FIELD.p
     moduli = []
     echelon = rank_module._echelon
 
-    def recording(m, p):
+    def recording(m, p, *args, **kwargs):
         moduli.append(p)
-        return echelon(m, p)
+        return echelon(m, p, *args, **kwargs)
 
     monkeypatch.setattr(rank_module, "_echelon", recording)
     assert exact_rank([[Fraction(q), Fraction(0)], [Fraction(0), Fraction(1)]], RATIONALS) == 2
@@ -157,6 +169,13 @@ def test_exact_rank_certificate_falls_back_on_full_rank(monkeypatch):
     moduli.clear()
     assert exact_rank([[1, 2], [3, 4]], PRIME) == 2
     assert moduli == [PRIME.p]
+    moduli.clear()
+    singular = [[Fraction(v) for v in row] for row in ((1, 2, 3), (4, 5, 6), (7, 8, 9))]
+    assert exact_rank(singular, RATIONALS, 2) == 2
+    assert moduli == [q]
+    moduli.clear()
+    assert exact_rank(singular, RATIONALS) == 2
+    assert moduli == [q, 0]
 
 
 def test_exact_rank_matches_reference_on_random_matrices():
@@ -192,6 +211,42 @@ def test_exact_rank_matches_reference_on_random_matrices():
         assert len(kernel_p) == ncols - rank_p
         for v in kernel_p:
             assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in as_p)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(p, rows, bound): a product of an r x k and a k x c factor of ints, so
+    of rank at most k, with some rows and columns zeroed; entries are not
+    reduced mod p.  p = 0 draws small entries for Bareiss."""
+    p = draw(st.sampled_from((0, 2, 3, 7, 101, (1 << 61) - 1)))
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k = draw(st.integers(0, min(nrows, ncols)))
+    entries = st.integers(-9, 9) if not p else st.integers(-3 * p, 3 * p)
+    left = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                          min_size=k, max_size=k))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1)))
+    rows = [[0 if i in zero_rows or j in zero_cols else
+             sum(a * r[j] for a, r in zip(left[i], right)) for j in range(ncols)]
+            for i in range(nrows)]
+    return p, rows, draw(st.integers(0, min(nrows, ncols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_echelon_matches_reference_kernel(case):
+    # Without a bound the row-by-row kernel finds the reference's pivot
+    # columns; with one it stops at min(rank, bound).  Modulo p it leaves its
+    # input as it was.
+    p, rows, bound = case
+    expected = reference_echelon([[v % p if p else v for v in row] for row in rows], p)
+    copy = [row[:] for row in rows]
+    assert _echelon(copy, p) == expected
+    if p:
+        assert copy == rows
+    assert len(_echelon([row[:] for row in rows], p, bound)) == min(len(expected), bound)
 
 
 # -- jacobian_at ----------------------------------------------------------------
@@ -541,7 +596,9 @@ def test_adjoint_jacobian_matches_tangent_reference():
     """The reverse pass assembles the forward-tangent matrix entry for entry,
     over a small grid of depths 2-4 (width-1 layers such as
     (2,1,2,1,2)/(2,3,2) among them), a depth-1 map and the tctc gauge, in a
-    small and a large prime field and over Q."""
+    small and a large prime field and over Q; its rank, found up to
+    `theory.dim_upper_bound` only, is the reference kernel's rank of the
+    whole matrix."""
     bounds = dict(max_out_width=3, max_degree=3, max_free=40, max_ambient=60)
     grid = (grid_architectures(ScanSpec(depths=(2, 3), max_width=3, **bounds))[0]
             + grid_architectures(ScanSpec(depths=(4,), max_width=2, **bounds))[0])
@@ -562,6 +619,10 @@ def test_adjoint_jacobian_matches_tangent_reference():
                 except PivotVanishes:
                     continue
             assert sample.matrix == tangent_jacobian(gmap, point, domain), gmap.arch.label()
+            # The rank stopped at the proven bound is the whole matrix's rank.
+            if sample.matrix:
+                reference = reference_echelon(*_integer_rows(sample.matrix, domain))
+                assert sample.rank == len(reference), gmap.arch.label()
 
 
 def test_rank_agrees_across_domains():
