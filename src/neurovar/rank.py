@@ -27,18 +27,20 @@ against a forward-tangent assembly (one tangent pass per free weight) on a
 small grid.
 
 A field is read off its characteristic `domain.p` (0 for Q).  One echelon
-routine, `_echelon`, serves rank: row-by-row elimination modulo p for prime
-fields, fraction-free (Bareiss) elimination over the integers after clearing
-denominators for rational matrices; `exact_rank` counts its pivots.  It
-stops at min(rows, cols) or at a proven rank bound from the caller: the
-pivot rows are independent, so the rank is at least their count and, by
-the bound, at most it.  `jacobian_at` passes `theory.dim_upper_bound`,
-since the rank at a point is at most the generic rank, hence the dimension.
+routine, `_echelon`, serves rank in every field: row-by-row elimination,
+modulo p for a prime field and, for a rational matrix cleared of its
+denominators, fraction-free over the integers with each row kept
+primitive; `exact_rank` counts its pivots.  It stops at min(rows, cols) or at a proven
+rank bound from the caller: the pivot rows are independent, so the rank is
+at least their count and, by the bound, at most it.  `jacobian_at` passes
+`theory.dim_upper_bound`, since the rank at a point is at most the generic
+rank, hence the dimension.
 
 A rational rank starts with a certificate: the same routine modulo the fixed
 prime q of CERTIFICATE_FIELD on the cleared integer rows.  Rank modulo a
 prime never exceeds the rational rank, so a count there that meets the
-bound is the answer; otherwise Bareiss decides.  Either way it is exact.
+bound is the answer; otherwise the routine runs again over the integers.
+Either way it is exact.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .domains import RATIONALS, PrimeField, random_prime
 from .errors import PivotVanishes, SamplingExhausted
@@ -95,61 +97,51 @@ def resolve_domain(field: str, prime: int | None, seed: int):
 def _echelon(m: list[list[int]], p: int, bound: int | None = None) -> list[int]:
     """The pivot columns, in increasing order, of a row echelon form of the
     integer rows `m`, until their count reaches `bound` (default
-    min(rows, cols)).
+    min(rows, cols)); `m` is left as it is.
 
-    p > 0: row by row, `m` left as it is; each row is reduced against the
-    pivot rows so far, keyed by leading column and scaled to a leading 1,
-    and one that stays nonzero becomes a pivot row.  An entry is reduced
-    mod p only when read, so `m` may hold any ints.  p == 0: fraction-free
-    (Bareiss) elimination in place, where every division is exact.
+    Row by row: each row is reduced against the pivot rows so far, keyed by
+    leading column, and one that stays nonzero becomes a pivot row.  p > 0:
+    a pivot row is scaled to a leading 1 and an entry is reduced mod p only
+    when read, so `m` may hold any ints.  p == 0: fraction-free over the
+    integers; an entry f under a pivot row led by v turns the row into
+    (v/g)*row - (f/g)*prow, g = gcd(v, f), and pivot rows and reduced rows
+    are divided by the gcd of their entries, so entries stay small.
     """
     ncols = len(m[0])
     limit = min(len(m), ncols) if bound is None else bound
-    if p:
-        reduced: dict[int, list[int]] = {}
-        for row in m:
-            if len(reduced) == limit:
-                break
-            for c in range(ncols):
-                f = row[c] % p
-                if not f:
-                    continue
-                prow = reduced.get(c)
-                if prow is None:
-                    # The pivot that meets the limit is never read: not scaled.
-                    if len(reduced) + 1 < limit:
+    reduced: dict[int, list[int]] = {}
+    for row in m:
+        if len(reduced) == limit:
+            break
+        for c in range(ncols):
+            f = row[c] % p if p else row[c]
+            if not f:
+                continue
+            prow = reduced.get(c)
+            if prow is None:
+                # The pivot that meets the limit is never read: not scaled.
+                if len(reduced) + 1 < limit:
+                    if p:
                         inv = pow(f, -1, p)
                         row = [v * inv % p for v in row]
-                    reduced[c] = row
-                    break
-                row = [a - f * b for a, b in zip(row, prow)]
-        return sorted(reduced)
-    nrows = len(m)
-    pivots: list[int] = []
-    prev = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == limit:
-            break
-        piv = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                piv = i
+                    else:
+                        g = gcd(*row)
+                        if g > 1:
+                            row = [v // g for v in row]
+                reduced[c] = row
                 break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        pv = prow[col]
-        for i in range(rank + 1, nrows):
-            ri = m[i]
-            f = ri[col]
-            for c in range(col + 1, ncols):
-                ri[c] = (pv * ri[c] - f * prow[c]) // prev
-            ri[col] = 0
-        prev = pv
-        pivots.append(col)
-    return pivots
+            if p:
+                row = [a - f * b for a, b in zip(row, prow)]
+                continue
+            g = gcd(prow[c], f)
+            v, f = prow[c] // g, f // g
+            row = [v * a - f * b for a, b in zip(row, prow)]
+            g = gcd(*row)
+            if not g:
+                break
+            if g > 1:
+                row = [a // g for a in row]
+    return sorted(reduced)
 
 
 def _integer_rows(matrix, domain) -> tuple[list[list[int]], int]:
@@ -174,8 +166,8 @@ def exact_rank(matrix, domain, bound: int | None = None) -> int:
     Q the cleared integer rows are first eliminated modulo the prime q of
     CERTIFICATE_FIELD: rank modulo a prime never exceeds the rational rank,
     so a count that meets that limit is the answer.  A lower one proves
-    nothing (q may divide every nonzero minor of that size), and Bareiss
-    then runs on the integer rows.
+    nothing (q may divide every nonzero minor of that size), and the
+    integer rows are then eliminated over Z.
     """
     if not matrix:
         return 0
@@ -236,7 +228,6 @@ class JacobianSample:
 
     matrix: list[list]
     rank: int
-    shape: tuple[int, int]
 
 
 def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
@@ -319,7 +310,7 @@ def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
     # Interleaved by output, the rows reach the rank sooner than output-major.
     interleaved = [row for i in range(span) for row in rows[i::span]]
     rank = exact_rank(interleaved, domain, dim_upper_bound(arch)) if nrows else 0
-    return JacobianSample(rows, rank, (nrows, ncols))
+    return JacobianSample(rows, rank)
 
 
 # -- sampling ------------------------------------------------------------------

@@ -40,6 +40,7 @@ CASES = {
     "dims-4441-23-rational-json": ["dims", "-n", "4,4,4,1", "-d", "2,3", "--field", "rational",
                                    "--json"],
     "dims-2321-33-rational": ["dims", "-n", "2,3,2,1", "-d", "3,3", "--field", "rational"],
+    "dims-4421-22-rational": ["dims", "-n", "4,4,2,1", "-d", "2,2", "--field", "rational"],
     "dims-2222-33-confirm-json": ["dims", "-n", "2,2,2,2", "-d", "3,3", "--confirm-rational", "--json"],
     "check-2221-23": ["check", "-n", "2,2,2,1", "-d", "2,3"],
     "check-351-4": ["check", "-n", "3,5,1", "-d", "4"],

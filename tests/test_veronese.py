@@ -149,14 +149,14 @@ def test_image_relations_vanish_on_fresh_points():
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
 def test_lattice_points_are_unisolvent(nvars):
     # The degree-N monomials evaluated at the lattice of order N form a
-    # square matrix of full rank, over Q (Bareiss on the integers) and
-    # modulo 2^61 - 1.
+    # square matrix of full rank, over Q (elimination over the integers)
+    # and modulo 2^61 - 1.
     for degree in range(9):
         monos = monomials_of_degree(nvars, degree)
         points = lattice_points(nvars, degree)
         assert len(points) == len(monos) and all(x[0] == 1 for x in points)
         matrix = [[math.prod(v ** e for v, e in zip(x, m)) for m in monos] for x in points]
-        assert len(_echelon([row[:] for row in matrix], 0)) == len(monos), (nvars, degree)
+        assert len(_echelon(matrix, 0)) == len(monos), (nvars, degree)
         assert reference_rank(matrix, CERTIFICATE_FIELD.p)[0] == len(monos), (nvars, degree)
 
 
