@@ -12,14 +12,15 @@ Exit codes (each error one `error:` line on stderr): 0 success, 1 failed
 --confirm-rational re-check or estimated work past `poly.WORK_CAP` (`scan`
 skips such rows, counting them on stderr), 2 invalid input, 3 sampling
 exhausted, 4 I/O error.
-NV_SEED overrides --seed; NV_THREADS sizes the scan worker pool.
+Reports depend on the arguments alone: every --seed defaults to
+`rank.DEFAULT_SEED`, and `scan` runs one worker per CPU the process may use
+(bound them with `taskset`), with the same rows on any schedule.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -63,7 +64,7 @@ def _prime_arg(text: str) -> int | None:
 
 def _add_sampling_args(sub):
     sub.add_argument("--tries", type=int, default=DEFAULT_TRIES)
-    sub.add_argument("--seed", type=int, default=None, help="sampling seed (NV_SEED overrides)")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
     sub.add_argument("--field", choices=("prime", "rational"), default="prime")
     sub.add_argument("--prime", default="auto", help="'auto' or an explicit prime modulus")
 
@@ -71,18 +72,6 @@ def _add_sampling_args(sub):
 def _add_output_args(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument("--out", default=None, help="write output to this path")
-
-
-def _resolve_seed(args) -> int:
-    env = os.environ.get("NV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"NV_SEED must be an integer, got {env!r}") from None
-    if args.seed is not None:
-        return args.seed
-    return DEFAULT_SEED
 
 
 def _emit(args, record: dict, lines: list[str]) -> None:
@@ -100,15 +89,14 @@ def _emit(args, record: dict, lines: list[str]) -> None:
 
 
 def cmd_dims(args) -> int:
-    seed = _resolve_seed(args)
     arch = validate(_int_list(args.widths), _int_list(args.degrees or ""))
-    domain = resolve_domain(args.field, _prime_arg(args.prime), seed)
+    domain = resolve_domain(args.field, _prime_arg(args.prime), args.seed)
     refuse_past_cap(arch.label(), sampling_steps(arch, args.tries + 3 * args.confirm_rational))
-    report = neurovariety_stats(arch, tries=args.tries, seed=seed, domain=domain)
+    report = neurovariety_stats(arch, tries=args.tries, seed=args.seed, domain=domain)
     verdict_label = theorem_verdict(arch).label() if arch.depth >= 2 else "NotApplicable"
 
     if args.confirm_rational and args.field == "prime":
-        confirm_seed = derive_seed(seed, "confirm-rational")
+        confirm_seed = derive_seed(args.seed, "confirm-rational")
         rational_rank, _ = generic_rank(
             gauge_fix(arch), tries=3, seed=confirm_seed, domain=RATIONALS
         )
@@ -172,7 +160,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    seed = _resolve_seed(args)
     spec = ScanSpec(
         depths=tuple(_int_list(args.depths)),
         min_width=args.min_width,
@@ -181,7 +168,7 @@ def cmd_scan(args) -> int:
         min_degree=args.min_degree,
         max_degree=args.max_degree,
         tries=args.tries,
-        seed=seed,
+        seed=args.seed,
         field=args.field,
         prime=_prime_arg(args.prime),
         max_free=args.max_free,
@@ -202,10 +189,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_veronese_secant(args) -> int:
-    seed = _resolve_seed(args)
-    domain = resolve_domain(args.field, _prime_arg(args.prime), seed)
+    domain = resolve_domain(args.field, _prime_arg(args.prime), args.seed)
     dim = empirical_secant_dim(
-        args.nvars, args.deg, args.secant, tries=args.tries, seed=seed, domain=domain
+        args.nvars, args.deg, args.secant, tries=args.tries, seed=args.seed, domain=domain
     )
     expected = expected_secant_dim(args.nvars, args.deg, args.secant)
     record = {
@@ -217,7 +203,7 @@ def cmd_veronese_secant(args) -> int:
         "defective": dim < expected,
         "table_defective": ah_secant_defective(args.nvars, args.deg, args.secant),
         "trials": args.tries,
-        "seed": seed,
+        "seed": args.seed,
         "domain": domain.kind,
         "prime": str(domain.p) if domain.p else None,
     }
@@ -229,13 +215,12 @@ def cmd_veronese_secant(args) -> int:
 
 
 def cmd_power_indep(args) -> int:
-    seed = _resolve_seed(args)
     report = power_threshold_scan(
         args.vars,
         args.count,
         args.form_degree,
         args.trials,
-        seed=seed,
+        seed=args.seed,
         power=args.power,
         find_min_power=args.find_min,
     )
@@ -248,7 +233,7 @@ def cmd_power_indep(args) -> int:
         "independent": report.independent,
         "all_independent": report.all_independent,
         "min_powers": list(report.min_powers) if report.min_powers is not None else None,
-        "seed": seed,
+        "seed": args.seed,
     }
     _emit(args, record, [
         f"{report.independent}/{report.trials} instances independent at power r={report.power}"
@@ -257,16 +242,15 @@ def cmd_power_indep(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    seed = _resolve_seed(args)
     cv = composite_veronese(args.nvars, _int_list(args.degrees))
-    relations = [f"-1*z{c} + 1*z{f}" for c, f in image_linear_relations(cv, seed=seed)]
+    relations = [f"-1*z{c} + 1*z{f}" for c, f in image_linear_relations(cv, seed=args.seed)]
     record = {
         "nvars": args.nvars,
         "degrees": _int_list(args.degrees),
         "ambient": cv.ambient,
         "kernel_dim": len(relations),
         "relations": relations,
-        "seed": seed,
+        "seed": args.seed,
     }
     lines = [f"ambient coordinates: {cv.ambient}", f"kernel dimension: {len(relations)}"]
     _emit(args, record, lines + [f"  {rel}" for rel in relations])
@@ -332,14 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--trials", type=int, default=50)
     pi.add_argument("--power", type=int, default=None, help="power r (default k-1)")
     pi.add_argument("--find-min", action="store_true", help="record minimal independent power")
-    pi.add_argument("--seed", type=int, default=None)
+    pi.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_args(pi)
     pi.set_defaults(func=cmd_power_indep)
 
     rel = subs.add_parser("relations", help="linear relations on a composite Veronese image")
     rel.add_argument("-n", "--nvars", type=int, required=True, help="source variable count")
     rel.add_argument("-d", "--degrees", required=True, help="comma-separated stage degrees")
-    rel.add_argument("--seed", type=int, default=None)
+    rel.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output_args(rel)
     rel.set_defaults(func=cmd_relations)
 

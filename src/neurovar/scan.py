@@ -27,7 +27,6 @@ from .theory import (
     LAST_VERONESE_DEFECTIVE,
     PREDICTED_IDENTIFIABLE,
     PREDICTED_NON_DEFECTIVE,
-    ROOM_FAILS,
     Verdict,
     necessity_scope,
     theorem_verdict,
@@ -98,8 +97,10 @@ class ScanRow:
     """One architecture's scan outcome.
 
     `agreement` is False only when a non-defectiveness or identifiability
-    prediction was contradicted by sampling, or when the necessity direction
-    (failed condition must mean defective, inside its scope) failed.
+    prediction was contradicted by sampling, or when an in-scope row whose
+    last Veronese is defective sampled non-defective (the table part of
+    necessity).  A failed room inequality is not flagged: it is sufficient,
+    not necessary, and rows that fail it may attain their expected dimension.
     """
 
     arch: Architecture
@@ -168,16 +169,12 @@ def grid_architectures(spec: ScanSpec) -> tuple[list[Architecture], int]:
 
 
 def agreement_flag(verdict: Verdict, report: DimReport, arch: Architecture) -> bool:
-    """Check prediction vs sampling in both directions."""
+    """Check prediction vs sampling: the sufficient conditions forward, and
+    the table part of necessity (see `necessity_scope`) back."""
     if verdict.kind in (PREDICTED_NON_DEFECTIVE, PREDICTED_IDENTIFIABLE) and report.defective:
         return False
-    if (
-        necessity_scope(arch)
-        and verdict.kind in (ROOM_FAILS, LAST_VERONESE_DEFECTIVE)
-        and not report.defective
-    ):
-        return False
-    return True
+    return not (necessity_scope(arch) and verdict.kind == LAST_VERONESE_DEFECTIVE
+                and not report.defective)
 
 
 def _compute_row(args) -> ScanRow:
@@ -204,18 +201,18 @@ def scan_architectures(spec: ScanSpec, archs: list[Architecture],
     seed and field, in order.
 
     Per-row errors are recorded in the row rather than aborting the scan.
-    `workers` defaults to the NV_THREADS environment variable (else serial)
-    and is capped at the CPU count and the number of rows.
+    The rows run on `workers` processes, by default one per CPU this
+    process may run on (bound it with `taskset`), capped at those CPUs and
+    at the number of rows; one worker runs serially, in this process.  Rows
+    do not depend on the schedule.
     """
-    if workers is None:
-        env = os.environ.get("NV_THREADS", "1")
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(f"NV_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
     domain = resolve_domain(spec.field, spec.prime, spec.seed)
     jobs = [(arch, spec.tries, spec.seed, domain) for arch in archs]
-    workers = min(workers, os.cpu_count() or 1, len(jobs))
+    workers = min(cpus if workers is None else workers, cpus, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -307,12 +307,10 @@ def test_criterion_09_theorem_vs_sampling_concordance():
         failures.append(f"unpinned {findings[key]}")
     for key in sorted(NECESSITY_FINDINGS - findings.keys()):
         failures.append(f"pinned necessity finding {key} is no longer found")
-    flagged = {(r.arch.widths, r.arch.degrees) for r in rows if not r.error and not r.agreement}
-    if flagged != {(widths, degrees) for widths, degrees, _ in findings}:
-        failures.append(
-            f"agreement flag marks {len(flagged)} rows, not the "
-            f"{len(findings)} necessity findings"
-        )
+    # The flag checks what the theorem claims, so the findings are not flagged.
+    flagged = [r.arch.label() for r in rows if not r.error and not r.agreement]
+    if flagged:
+        failures.append(f"agreement flag marks {len(flagged)} rows: {', '.join(flagged)}")
     finish(9, "prediction vs sampling over the full small grid", 600, started, failures)
 
 

@@ -85,16 +85,12 @@ def _stdout(argv, capsys) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, monkeypatch, capsys):
-    monkeypatch.delenv("NV_SEED", raising=False)
-    monkeypatch.delenv("NV_THREADS", raising=False)
+def test_cli_output_matches_golden(name, capsys):
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert _stdout(CASES[name], capsys) == expected
 
 
-def test_repeated_depth_scans_each_architecture_once(monkeypatch, capsys):
-    monkeypatch.delenv("NV_SEED", raising=False)
-    monkeypatch.delenv("NV_THREADS", raising=False)
+def test_repeated_depth_scans_each_architecture_once(capsys):
     bounds = ["--max-width", "2", "--max-out", "1", "--max-degree", "2", "--csv"]
     outputs = []
     for depths in ("2", "2,2"):
@@ -124,8 +120,6 @@ def _record() -> list[str]:
 
 
 def test_record_writes_missing_files_only(monkeypatch, tmp_path):
-    monkeypatch.delenv("NV_SEED", raising=False)
-    monkeypatch.delenv("NV_THREADS", raising=False)
     recorded = GOLDEN
     monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
     monkeypatch.setattr(sys.modules[__name__], "CASES", {

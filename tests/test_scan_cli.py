@@ -112,11 +112,11 @@ def test_scan_parallel_schedule_matches_serial():
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
 
 
-@pytest.mark.parametrize("cpus, expected", [(2, 2), (64, 4), (None, None)])
+@pytest.mark.parametrize("cpus, expected", [(1, None), (2, 2), (64, 4), (None, None)])
 def test_scan_clamps_worker_count(cpus, expected, monkeypatch):
-    # NV_THREADS=100000 must not reach the executor, which would start every
-    # worker at the first submit; the fake pool maps in-process, so no
-    # process is started here.
+    # One worker per CPU the process may use, whatever the machine has,
+    # capped at the 4 rows; an explicit count is capped the same way.  The
+    # fake pool maps in-process, so no process is started here.
     sizes = []
 
     class SerialPool:
@@ -139,12 +139,17 @@ def test_scan_clamps_worker_count(cpus, expected, monkeypatch):
     # scan() imports the executor only when it uses one, so the fake replaces
     # it where that import finds it.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setenv("NV_THREADS", "100000")
+    if cpus is None:  # no affinity mask on the platform, and no CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:  # a `taskset` mask narrower than the machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
     rows = scan(spec)
-    assert sizes == ([] if expected is None else [expected])
+    explicit = scan(spec, workers=3)
+    assert sizes == ([] if expected is None else [expected, min(expected, 3)])
     strip = lambda r: (r.arch, r.report, r.verdict, r.agreement)
-    assert [strip(r) for r in rows] == [strip(r) for r in serial]
+    assert [strip(r) for r in rows] == [strip(r) for r in explicit] == [strip(r) for r in serial]
 
 
 # -- emit/parse -----------------------------------------------------------------------
@@ -299,15 +304,6 @@ def test_cli_scan_small_grid(tmp_path):
     assert all(tuple(r.keys()) == REPORT_KEYS for r in records)
 
 
-def test_cli_env_seed_override():
-    a = run_cli("dims", "-n", "2,2,1", "-d", "2", "--seed", "1", "--json",
-                env_extra={"NV_SEED": "777"})
-    b = run_cli("dims", "-n", "2,2,1", "-d", "2", "--seed", "2", "--json",
-                env_extra={"NV_SEED": "777"})
-    assert json.loads(a.stdout)["seed"] == 777
-    assert a.stdout == b.stdout
-
-
 def test_cli_reports_are_deterministic():
     args = ("dims", "-n", "2,3,2,1", "-d", "3,3", "--seed", "1729", "--json")
     assert run_cli(*args).stdout == run_cli(*args).stdout
@@ -316,16 +312,12 @@ def test_cli_reports_are_deterministic():
 def test_agreement_flag_reports_necessity_findings():
     # The strict room inequality is sufficient but not necessary: this
     # architecture fails it at the first level yet attains its expected
-    # dimension, and the scan surfaces the disagreement instead of hiding it.
+    # dimension.  That is a necessity finding (criterion 9 pins it), not a
+    # disagreement, so no row of the grid is flagged.
     spec = ScanSpec(depths=(3,), min_width=2, max_width=2, max_out_width=1,
                     min_degree=2, max_degree=3, tries=10, seed=1729)
     rows = scan(spec)
-    flagged = {
-        (r.arch.widths, r.arch.degrees)
-        for r in rows
-        if not r.agreement
-    }
-    assert ((2, 2, 2, 1), (2, 3)) in flagged
+    assert all(r.agreement for r in rows)
     row = next(
         r for r in rows
         if r.arch.widths == (2, 2, 2, 1) and r.arch.degrees == (2, 3)
@@ -364,75 +356,76 @@ def test_cli_dims_io_error_exit_code():
     assert len(lines) == 1 and lines[0].startswith("error: cannot write "), proc.stderr
 
 
-def test_cli_scan_respects_worker_env():
-    args = ("scan", "--depths", "2", "--max-width", "2", "--max-out", "1",
-            "--max-degree", "2", "--tries", "3", "--seed", "11")
-    serial = run_cli(*args, env_extra={"NV_THREADS": "1"})
-    threaded = run_cli(*args, env_extra={"NV_THREADS": "2"})
-    assert serial.returncode == threaded.returncode == 0
+def test_cli_scan_respects_worker_env(monkeypatch, capsys):
+    # The CPUs the process may use size the pool: one runs in-process, two
+    # start two workers, and the report is the same up to wall time.
+    sizes = []
 
-    def strip_wall(text):
-        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in json.loads(text)]
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
 
-    assert strip_wall(serial.stdout) == strip_wall(threaded.stdout)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    argv = ["scan", "--depths", "2", "--max-width", "2", "--max-out", "1",
+            "--max-degree", "2", "--tries", "3", "--seed", "11"]
+    reports = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)
+        reports.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in records])
+    assert sizes == [2]
+    assert len(reports[0]) == 4 and reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "15"], {}),
-        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "abc"], {}),
-        (["dims", "-n", "2,x,1", "-d", "2"], {}),
-        (["dims", "-n", "2,2,1", "-d", "2", "--tries", "0"], {}),
-        (["scan", "--depths", "1"], {}),
-        (["veronese-secant", "-n", "3", "-d", "4", "-s", "0"], {}),
-        (["scan", "--depths", "2", "--max-width", "2", "--max-out", "1"], {"NV_THREADS": "abc"}),
-        (["check", "-n", "2,1"], {}),
-        (["dims", "-n", "2,2,1", "-d", "2"], {"NV_SEED": "abc"}),
-        (["power-indep", "--vars", "1", "--count", "2", "--form-degree", "2"], {}),
-        (["power-indep", "--vars", "2", "--count", "3", "--form-degree", "0"], {}),
-        (["power-indep", "--vars", "2", "--count", "0", "--form-degree", "1"], {}),
-        (["power-indep", "--vars", "2", "--count", "2", "--form-degree", "1", "--power", "-1"],
-         {}),
-        (["scan", "--depths", ""], {}),
-        (["power-indep", "--vars", "0", "--count", "2", "--form-degree", "1"], {}),
-        (["power-indep", "--vars", "2", "--count", "2", "--form-degree", "-1"], {}),
-        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "2"], {}),
-        (["dims", "-n", "2,3,2,1", "-d", "4,3", "--prime", "3"], {}),
-        (["scan", "--depths", "2", "--max-width", "2", "--prime", "5"], {}),
-        (["veronese-secant", "-n", "3", "-d", "4", "-s", "5", "--prime", "101"], {}),
-        (["dims", "-n", "2,2,1", "-d", "2", "--field", "rational", "--prime", "15"], {}),
-        (["scan", "--max-free", "-1"], {}),
-        (["scan", "--max-ambient", "-5"], {}),
-        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "318665857834031151167461"], {}),
-        (["dims", "-n", "2,2,1", "-d", "2", "--prime", "3317044064679887385961981"], {}),
+        ["dims", "-n", "2,2,1", "-d", "2", "--prime", "15"],
+        ["dims", "-n", "2,2,1", "-d", "2", "--prime", "abc"],
+        ["dims", "-n", "2,x,1", "-d", "2"],
+        ["dims", "-n", "2,2,1", "-d", "2", "--tries", "0"],
+        ["scan", "--depths", "1"],
+        ["veronese-secant", "-n", "3", "-d", "4", "-s", "0"],
+        ["check", "-n", "2,1"],
+        ["power-indep", "--vars", "1", "--count", "2", "--form-degree", "2"],
+        ["power-indep", "--vars", "2", "--count", "3", "--form-degree", "0"],
+        ["power-indep", "--vars", "2", "--count", "0", "--form-degree", "1"],
+        ["power-indep", "--vars", "2", "--count", "2", "--form-degree", "1", "--power", "-1"],
+        ["scan", "--depths", ""],
+        ["power-indep", "--vars", "0", "--count", "2", "--form-degree", "1"],
+        ["power-indep", "--vars", "2", "--count", "2", "--form-degree", "-1"],
+        ["dims", "-n", "2,2,1", "-d", "2", "--prime", "2"],
+        ["dims", "-n", "2,3,2,1", "-d", "4,3", "--prime", "3"],
+        ["scan", "--depths", "2", "--max-width", "2", "--prime", "5"],
+        ["veronese-secant", "-n", "3", "-d", "4", "-s", "5", "--prime", "101"],
+        ["dims", "-n", "2,2,1", "-d", "2", "--field", "rational", "--prime", "15"],
+        ["scan", "--max-free", "-1"],
+        ["scan", "--max-ambient", "-5"],
+        ["dims", "-n", "2,2,1", "-d", "2", "--prime", "318665857834031151167461"],
+        ["dims", "-n", "2,2,1", "-d", "2", "--prime", "3317044064679887385961981"],
     ],
-    ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0", "threads-abc",
-         "check-depth-1", "seed-abc", "power-vars-1", "power-form-degree-0", "power-count-0",
+    ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0",
+         "check-depth-1", "power-vars-1", "power-form-degree-0", "power-count-0",
          "power-negative", "depths-empty", "power-vars-0", "power-form-degree-negative",
          "dims-prime-2", "dims-prime-3", "scan-prime-5", "secant-prime-101", "rational-prime",
          "scan-max-free-negative", "scan-max-ambient-negative", "prime-pseudoprime-to-37",
          "prime-past-primality-range"],
 )
-def test_cli_bad_input_is_one_line_error(argv, env, monkeypatch, capsys):
-    monkeypatch.delenv("NV_SEED", raising=False)
-    monkeypatch.delenv("NV_THREADS", raising=False)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_cli_bad_input_is_one_line_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    # A bad environment variable or --prime value is named in its error.
-    assert all(key in err for key in env), err
+    # A bad --prime value is named in its error.
     if "--prime" in argv:
         assert argv[argv.index("--prime") + 1] in err, err
     if "--field" in argv:
         assert "--field" in err and "--prime" in err, err
 
 
-def test_cli_rational_field_accepts_prime_auto(monkeypatch, capsys):
+def test_cli_rational_field_accepts_prime_auto(capsys):
     # 'auto' is the flag's default, so it names no prime.
-    monkeypatch.delenv("NV_SEED", raising=False)
     argv = ["dims", "-n", "2,2,1", "-d", "2", "--field", "rational", "--json"]
     assert main(argv + ["--prime", "auto"]) == 0
     with_auto = capsys.readouterr().out
@@ -555,11 +548,10 @@ def test_grid_architectures_counts_rows_past_the_cap(work_cap):
     assert steps < rank_module.sampling_steps(large, spec.tries)
     work_cap(steps)
     assert grid_architectures(spec) == ([small], 1)
-    assert [row.arch for row in scan(spec)] == [small]
+    assert [row.arch for row in scan(spec, workers=1)] == [small]
 
 
 def test_cli_scan_defaults_are_scan_spec_defaults(monkeypatch, capsys):
-    monkeypatch.delenv("NV_SEED", raising=False)
     specs = []
     monkeypatch.setattr(cli_module, "scan_architectures",
                         lambda spec, archs: specs.append(spec) or [])

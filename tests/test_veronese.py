@@ -203,7 +203,6 @@ def test_image_relations_need_no_elimination(monkeypatch, capsys):
         raise AssertionError("relations ran an elimination")
 
     monkeypatch.setattr(rank_module, "_echelon", refuse)
-    monkeypatch.delenv("NV_SEED", raising=False)
     assert main(["relations", "-n", "2", "-d", "99", "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert (record["ambient"], record["kernel_dim"], record["relations"]) == (100, 0, [])

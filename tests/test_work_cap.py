@@ -126,11 +126,9 @@ def _argv(draw):
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_argv())
-def test_cli_fuzz_ends_in_a_documented_code_and_one_line(argv, work_cap, monkeypatch):
+def test_cli_fuzz_ends_in_a_documented_code_and_one_line(argv, work_cap):
     # A cap of 2,000 steps admits only tiny computations, so every argv ends
     # at once: in a report, a one-line refusal or a one-line input error.
-    monkeypatch.delenv("NV_SEED", raising=False)
-    monkeypatch.delenv("NV_THREADS", raising=False)
     work_cap(2_000)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
