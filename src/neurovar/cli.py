@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .domains import RATIONALS
 from .errors import ArchitectureError, NeurovarError, SamplingExhausted
@@ -131,15 +130,15 @@ def cmd_check(args) -> int:
     arch = validate(_int_list(args.widths), _int_list(args.degrees or ""))
     refuse_past_cap(arch.label(), verdict_steps(arch))
     verdict = theorem_verdict(arch)
-    evidence, q = asdict(verdict), verdict.ah_query
+    q, c3 = verdict.ah_query, verdict.condition3
     record = {
         "arch": list(arch.widths),
         "degrees": list(arch.degrees),
         "verdict": verdict.label(),
-        "room": evidence["room"],
+        "room": [lv._asdict() for lv in verdict.room],
         "last_veronese": {"nvars": q[0], "deg": q[1], "secant_order": q[2],
                           "defective": verdict.ah_defective},
-        "condition3": evidence["condition3"],
+        "condition3": c3._asdict() if c3 is not None else None,
     }
     lines = [f"architecture      {arch.label()}", f"verdict           {verdict.label()}"]
     for lv in verdict.room:
@@ -149,8 +148,7 @@ def cmd_check(args) -> int:
         f"last Veronese     V^{q[0]-1}_{q[1]} secant order {q[2]}: "
         + ("defective" if verdict.ah_defective else "not defective")
     )
-    if verdict.condition3 is not None:
-        c3 = verdict.condition3
+    if c3 is not None:
         lines.append(
             f"condition (iii)   single-output expdim {c3.single_output_expdim} "
             f"vs parameters {c3.parameter_count}: {'holds' if c3.holds else 'fails'}"
@@ -288,14 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     sc = subs.add_parser("scan", help="exhaustive scan over bounded architectures")
-    sc.add_argument("--depths", default=",".join(map(str, ScanSpec.depths)), help="comma-separated depths L")
-    sc.add_argument("--min-width", type=int, default=ScanSpec.min_width)
-    sc.add_argument("--max-width", type=int, default=ScanSpec.max_width)
-    sc.add_argument("--max-out", type=int, default=ScanSpec.max_out_width, help="output width bound")
-    sc.add_argument("--min-degree", type=int, default=ScanSpec.min_degree)
-    sc.add_argument("--max-degree", type=int, default=ScanSpec.max_degree)
-    sc.add_argument("--max-free", type=int, default=ScanSpec.max_free, help="free-weight pre-filter")
-    sc.add_argument("--max-ambient", type=int, default=ScanSpec.max_ambient, help="ambient pre-filter")
+    spec = ScanSpec()
+    sc.add_argument("--depths", default=",".join(map(str, spec.depths)), help="comma-separated depths L")
+    sc.add_argument("--min-width", type=int, default=spec.min_width)
+    sc.add_argument("--max-width", type=int, default=spec.max_width)
+    sc.add_argument("--max-out", type=int, default=spec.max_out_width, help="output width bound")
+    sc.add_argument("--min-degree", type=int, default=spec.min_degree)
+    sc.add_argument("--max-degree", type=int, default=spec.max_degree)
+    sc.add_argument("--max-free", type=int, default=spec.max_free, help="free-weight pre-filter")
+    sc.add_argument("--max-ambient", type=int, default=spec.max_ambient, help="ambient pre-filter")
     _add_sampling_args(sc)
     sc.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     sc.add_argument("--out", default=None)

@@ -20,7 +20,7 @@ names them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegreeBelowTwo, LengthMismatch, WidthZero
 
@@ -28,8 +28,7 @@ from .errors import DegreeBelowTwo, LengthMismatch, WidthZero
 GaugeMask = tuple[tuple[tuple[int, int], ...], ...]
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(NamedTuple):
     """Widths n_0..n_L and activation degrees d_1..d_{L-1}."""
 
     widths: tuple[int, ...]
@@ -76,7 +75,8 @@ class Architecture:
 
 
 def validate(widths, degrees=()) -> Architecture:
-    """Check the architecture invariants and return the frozen record.
+    """Check the architecture invariants and return the `Architecture` record,
+    an immutable `NamedTuple` (a tuple equal to `(widths, degrees)`).
 
     Raises WidthZero, DegreeBelowTwo, or LengthMismatch naming the offending
     index.  A two-entry width vector with no degrees is the valid L = 1
@@ -115,8 +115,7 @@ def weight_positions(arch: Architecture) -> list[tuple[int, int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class GaugedMap:
+class GaugedMap(NamedTuple):
     """The affine parameterization: free weights -> non-pivot coefficient ratios.
 
     `free` lists the (layer, row, col) positions of the free weights in

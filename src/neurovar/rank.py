@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .domains import RATIONALS, PrimeField, random_prime
 from .errors import PivotVanishes, SamplingExhausted
@@ -218,8 +218,7 @@ def _forward_cached(arch: Architecture, wvals, ring: Ring):
     return outputs, powers, activated
 
 
-@dataclass(frozen=True)
-class JacobianSample:
+class JacobianSample(NamedTuple):
     """One exact Jacobian evaluation: one row per non-pivot coefficient ratio
     c_m/c_0 (output-major), holding its derivative cleared of the pivot
     denominator, c_0*dc_m - c_m*dc_0; columns are the free weights in
@@ -395,8 +394,7 @@ def generic_rank(
     return best_rank, witness
 
 
-@dataclass(frozen=True)
-class DimReport:
+class DimReport(NamedTuple):
     """Dimension statistics of one architecture under one sampling run."""
 
     arch: Architecture
@@ -447,8 +445,7 @@ def neurovariety_stats(
     )
 
 
-@dataclass(frozen=True)
-class BlockRankReport:
+class BlockRankReport(NamedTuple):
     """Ranks of the Jacobian column blocks grouped by owning layer.
 
     `normal_rank` covers the union of layers 1..L-2, `last_rank` the final

@@ -10,13 +10,12 @@ scan with the same spec and seed reproduces every row.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import time
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import poly
 from .errors import NeurovarError
@@ -50,14 +49,15 @@ REPORT_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(NamedTuple):
     """Bounds and sampling parameters for an exhaustive scan.
 
     Architectures with more free weights than `max_free`, more ambient
     coordinates than `max_ambient` or sampling work past `poly.WORK_CAP` are
     skipped before any sampling; the defaults keep a full small-architecture
-    sweep within minutes while covering every worked example.
+    sweep within minutes while covering every worked example.  A spec is an
+    immutable `NamedTuple`: read the defaults off `ScanSpec()`, since the
+    class attributes are the field getters.
     """
 
     depths: tuple[int, ...] = (2, 3)
@@ -92,8 +92,7 @@ class ScanSpec:
             raise ValueError("field must be 'prime' or 'rational'")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One architecture's scan outcome.
 
     `agreement` is False only when a non-defectiveness or identifiability
@@ -101,6 +100,8 @@ class ScanRow:
     last Veronese is defective sampled non-defective (the table part of
     necessity).  A failed room inequality is not flagged: it is sufficient,
     not necessary, and rows that fail it may attain their expected dimension.
+    A row is an immutable `NamedTuple`, equal to the tuple of its fields;
+    `to_record` gives its report columns.
     """
 
     arch: Architecture
@@ -256,6 +257,8 @@ def emit_report(rows, fmt: str = "json", path: str | None = None) -> str:
     if fmt == "json":
         text = json.dumps(records, indent=2) + "\n"
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(REPORT_KEYS)

@@ -9,7 +9,7 @@ non-defectiveness (single output) or global identifiability (multi output).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import poly
 from .network import Architecture, validate
@@ -76,8 +76,7 @@ def dim_upper_bound(arch: Architecture) -> int:
     return bound
 
 
-@dataclass(frozen=True)
-class LevelRoom:
+class LevelRoom(NamedTuple):
     """One layer's room inequality n_{i-1}+n_i-1 < binom(n_{i-1}-1+d_i, n_{i-1}-1)."""
 
     layer: int
@@ -126,8 +125,7 @@ def expected_secant_dim(nvars: int, deg: int, s: int) -> int:
     return min(s * nvars, math.comb(nvars - 1 + deg, nvars - 1)) - 1
 
 
-@dataclass(frozen=True)
-class Condition3:
+class Condition3(NamedTuple):
     """Identifiability condition for n_L >= 2: the single-output companion
     architecture must have expected dimension equal to its parameter count
     (`holds`)."""
@@ -137,8 +135,7 @@ class Condition3:
     holds: bool
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the theorem predicates, with the evidence that produced it:
     `room` is `room_condition`'s tuple of levels, `failing_layer` the layer of
     the first failing level for RoomFails (else None), `ah_query` the last Veronese's

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ProportionalPair
 from .network import gauge_fix, validate
@@ -77,8 +77,7 @@ def lattice_points(nvars: int, degree: int) -> list[tuple[int, ...]]:
     return [(1,) + e[1:] for e in monomials_of_degree(nvars, degree)]
 
 
-@dataclass(frozen=True)
-class CompositeVeronese:
+class CompositeVeronese(NamedTuple):
     """The coefficient map of a chain of Veronese embeddings.
 
     stage_monomials[t] lists the degree-e_{t+1} monomials in the stage-t
@@ -190,9 +189,15 @@ def empirical_secant_dim(
     d-th powers of linear forms, and the gauged Jacobian rank at a random
     point equals the projective secant dimension.  With `domain` None it
     samples over `generic_rank`'s default, the seed's `auto_prime_field`.
+    Raises ValueError, naming the argument, for nvars below 1, deg below 2
+    or s below 1.
     """
+    if nvars < 1:
+        raise ValueError(f"variable count nvars must be >= 1, got {nvars}")
+    if deg < 2:
+        raise ValueError(f"Veronese degree deg must be >= 2, got {deg}")
     if s < 1:
-        raise ValueError("secant order s must be >= 1")
+        raise ValueError(f"secant order s must be >= 1, got {s}")
     arch = validate((nvars, s, 1), (deg,))
     refuse_past_cap(arch.label(), sampling_steps(arch, tries))
     rank, _ = generic_rank(gauge_fix(arch), tries=tries, seed=seed, domain=domain)
@@ -303,9 +308,9 @@ def power_independence(rows, nvars: int, s: int, r: int, domain) -> tuple[bool, 
     return _rows_power_rank(rows, monos, nvars, s, r, domain)
 
 
-@dataclass(frozen=True)
-class PowerScanReport:
-    """Outcome of repeated random power-independence trials."""
+class PowerScanReport(NamedTuple):
+    """Outcome of repeated random power-independence trials.  The field
+    `count` (the number of forms) shadows `tuple.count`."""
 
     nvars: int
     count: int

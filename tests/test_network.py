@@ -31,6 +31,12 @@ def test_validate_guiding_architecture():
     assert arch.depth == 3
     assert arch.total_degree == 12
     assert arch.free_weight_count == 8
+    # The record is immutable, prints its fields and hashes by value.
+    with pytest.raises(AttributeError):
+        arch.widths = (2, 2, 1)
+    assert repr(validate((2, 3, 1), (2,))) == "Architecture(widths=(2, 3, 1), degrees=(2,))"
+    twin = validate([2, 3, 2, 1], [4, 3])
+    assert twin == arch and twin is not arch and hash(twin) == hash(arch)
 
 
 def test_validate_linear_network():

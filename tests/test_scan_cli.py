@@ -405,13 +405,15 @@ def test_cli_scan_respects_worker_env(monkeypatch, capsys):
         ["scan", "--max-ambient", "-5"],
         ["dims", "-n", "2,2,1", "-d", "2", "--prime", "318665857834031151167461"],
         ["dims", "-n", "2,2,1", "-d", "2", "--prime", "3317044064679887385961981"],
+        ["veronese-secant", "-n", "0", "-d", "3", "-s", "2"],
+        ["veronese-secant", "-n", "3", "-d", "1", "-s", "2"],
     ],
     ids=["prime-15", "prime-abc", "widths-x", "tries-0", "depths-1", "secant-0",
          "check-depth-1", "power-vars-1", "power-form-degree-0", "power-count-0",
          "power-negative", "depths-empty", "power-vars-0", "power-form-degree-negative",
          "dims-prime-2", "dims-prime-3", "scan-prime-5", "secant-prime-101", "rational-prime",
          "scan-max-free-negative", "scan-max-ambient-negative", "prime-pseudoprime-to-37",
-         "prime-past-primality-range"],
+         "prime-past-primality-range", "secant-nvars-0", "secant-deg-1"],
 )
 def test_cli_bad_input_is_one_line_error(argv, capsys):
     assert main(argv) == 2
@@ -422,6 +424,9 @@ def test_cli_bad_input_is_one_line_error(argv, capsys):
         assert argv[argv.index("--prime") + 1] in err, err
     if "--field" in argv:
         assert "--field" in err and "--prime" in err, err
+    # A Veronese's error names its own arguments, not the network it samples.
+    if argv[0] == "veronese-secant":
+        assert "width" not in err and "activation" not in err, err
 
 
 def test_cli_rational_field_accepts_prime_auto(capsys):

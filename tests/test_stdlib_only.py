@@ -1,11 +1,14 @@
-"""The package promises the standard library only.
+"""The package promises the standard library only, and a quick start.
 
 numpy and other third-party packages may be installed where the tests run, so
 a stray import would pass every other test; this one reads the imports off
-the source instead of importing it.
+the source instead of importing it.  Every `neurovar` process pays for what
+importing the command line loads, so the test below pins what it leaves out.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,3 +32,14 @@ def test_package_imports_only_neurovar_and_stdlib():
                 if top != "neurovar" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno}: {module}")
     assert not foreign, foreign
+
+
+def test_cli_import_loads_no_dataclasses_or_csv():
+    # `dataclasses` generates and compiles methods at import; `csv` serves
+    # only `scan --csv`.  -S keeps site hooks from importing either first.
+    code = ("import sys, neurovar.cli; "
+            "print(sorted({'dataclasses', 'csv'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n", proc.stdout + proc.stderr
