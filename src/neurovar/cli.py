@@ -90,11 +90,12 @@ def _emit(args, record: dict, lines: list[str]) -> None:
 def cmd_dims(args) -> int:
     arch = validate(_int_list(args.widths), _int_list(args.degrees or ""))
     domain = resolve_domain(args.field, _prime_arg(args.prime), args.seed)
-    refuse_past_cap(arch.label(), sampling_steps(arch, args.tries + 3 * args.confirm_rational))
+    confirm = args.confirm_rational and args.field == "prime"
+    refuse_past_cap(arch.label(), sampling_steps(arch, args.tries + 3 * confirm))
     report = neurovariety_stats(arch, tries=args.tries, seed=args.seed, domain=domain)
     verdict_label = theorem_verdict(arch).label() if arch.depth >= 2 else "NotApplicable"
 
-    if args.confirm_rational and args.field == "prime":
+    if confirm:
         confirm_seed = derive_seed(args.seed, "confirm-rational")
         rational_rank, _ = generic_rank(
             gauge_fix(arch), tries=3, seed=confirm_seed, domain=RATIONALS

@@ -14,17 +14,16 @@ scalar multiples d*W_L[l][r] of one power, so one product per column serves
 every output; below that, each adjoint is computed once per (r, l), and at
 layer 1 the factor G_0[c] = x_c is a single monomial.  The pass streams: a
 row's adjoints write that row's columns and are kept only until the layer
-below has read them.  The quotient rule then yields the derivative of every
-dehomogenized coordinate c_m/c_0, kept cleared of its denominator: the row of
-output coordinate m is c_0*dc_m - c_m*dc_0, the derivative times c_0^2.
-Scaling a row by a nonzero constant changes no rank of any set of columns,
-and over Q at an integral point every entry stays an int, so no Fraction is
-built and no pivot coefficient inverted.  This is the package's only Jacobian
-route: the coefficient map is never expanded symbolically, since that blows
-up with depth.  The test suite checks the per-point pass against formal
-derivatives of a symbolic coefficient map on small cases, and entry for entry
-against a forward-tangent assembly (one tangent pass per free weight) on a
-small grid.
+below has read them.  The rows are the coefficients' plain derivatives,
+bordered by the outputs: each row also holds its coefficient in its output's
+border column, and the bordered rank less the number of outputs is the rank
+of the Jacobian of the dehomogenized coordinates c_m/c_0 (`jacobian_at`).  So
+no quotient is formed, and over Q at an integral point every entry stays an
+int.  This is the package's only Jacobian route: the coefficient map is never
+expanded symbolically, since that blows up with depth.  The test suite checks
+the per-point pass against formal derivatives of a symbolic coefficient map
+on small cases, and entry for entry against a forward-tangent assembly (one
+tangent pass per free weight) on a small grid.
 
 A field is read off its characteristic `domain.p` (0 for Q).  One echelon
 routine, `_echelon`, serves rank in every field: row-by-row elimination,
@@ -33,8 +32,8 @@ denominators, fraction-free over the integers with each row kept
 primitive; `exact_rank` counts its pivots.  It stops at min(rows, cols) or at a proven
 rank bound from the caller: the pivot rows are independent, so the rank is
 at least their count and, by the bound, at most it.  `jacobian_at` passes
-`theory.dim_upper_bound`, since the rank at a point is at most the generic
-rank, hence the dimension.
+`theory.dim_upper_bound` plus the number of outputs, since the rank at a
+point is at most the generic rank, hence the dimension.
 
 A rational rank starts with a certificate: the same routine modulo the fixed
 prime q of CERTIFICATE_FIELD on the cleared integer rows.  Rank modulo a
@@ -219,20 +218,27 @@ def _forward_cached(arch: Architecture, wvals, ring: Ring):
 
 
 class JacobianSample(NamedTuple):
-    """One exact Jacobian evaluation: one row per non-pivot coefficient ratio
-    c_m/c_0 (output-major), holding its derivative cleared of the pivot
-    denominator, c_0*dc_m - c_m*dc_0; columns are the free weights in
-    `GaugedMap.free` order.  The ratio Jacobian has the same rank, block by
-    block, since each row differs from it by the nonzero factor c_0^2."""
+    """One exact Jacobian evaluation, bordered by the outputs: row
+    m*n_out + l holds the derivative of coefficient c_{l,m} by each free
+    weight (`GaugedMap.free` order), then n_out border columns with c_{l,m}
+    in output l's.  `rank` is the bordered rank less n_out, the rank of the
+    Jacobian of the ratios c_{l,m}/c_{l,0}, and so for any set of weight
+    columns taken with the border (`jacobian_at`)."""
 
     matrix: list[list]
     rank: int
 
 
 def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
-    """Exact Jacobian of the gauged map at a point assigning the free weights
-    in `gmap.free` order; its columns follow that order and its rows are
-    cleared of the pivot denominators (`JacobianSample`).
+    """Exact bordered Jacobian of the gauged map at a point assigning the free
+    weights in `gmap.free` order (`JacobianSample`).
+
+    The bordered rows of output l are the Jacobian of (w, s) -> s*c_l(w) at
+    s = 1.  With c_{l,0} != 0 the kernel of v -> (c_0*v_m - c_m*v_0)_{m>=1}
+    is span(c_l), so the rows c_0*B_m - c_m*B_0 (m >= 1) are nonzero
+    multiples of the ratio Jacobian's rows and vanish on the border, and B_0
+    is c_0 in output l's border column and 0 in the others: the bordered rank
+    of any weight columns with the border is their ratio rank plus n_out.
 
     Integral values of the point (a Fraction n/1 over Q) enter the passes as
     ints.  Raises PivotVanishes when any output's pivot coefficient (index 0,
@@ -245,31 +251,22 @@ def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
     outputs, powers, activated = _forward_cached(arch, wvals, ring)
 
     monos = monomials_of_degree(arch.n_in, arch.total_degree)
-    coeffs = []
-    for out in outputs:
-        vec = [out.terms.get(m, 0) for m in monos]
-        if not vec[0]:
-            raise PivotVanishes(tuple(point))
-        coeffs.append(vec)
-
+    if not all(monos[0] in out.terms for out in outputs):
+        raise PivotVanishes(tuple(point))
     p = domain.p
-    span = len(monos) - 1
-    nrows = arch.n_out * span
-    ncols = gmap.domain_dim
-    rows = [[0] * ncols for _ in range(nrows)]
+    n_out, ncols = arch.n_out, gmap.domain_dim
+    first = {m: i * n_out for i, m in enumerate(monos)}
+    rows = [[0] * (ncols + n_out) for _ in range(len(monos) * n_out)]
     column = {pos: j for j, pos in enumerate(gmap.free)}
 
-    def put(j, ell, deriv, k):
-        """Write column j's rows of output ell, whose derivative is k*deriv."""
-        dterms = deriv.terms
-        cvec = coeffs[ell]
-        c0, dc0 = cvec[0], dterms.get(monos[0], 0)
-        for mi in range(1, len(monos)):
-            num = (c0 * dterms.get(monos[mi], 0) - cvec[mi] * dc0) * k
-            rows[ell * span + mi - 1][j] = num % p if p else num
+    def put(j, ell, poly, k):
+        """Write k*poly's coefficients to column j's rows of output ell."""
+        for m, v in poly.terms.items():
+            rows[first[m] + ell][j] = v * k % p if p else v * k
 
     L = arch.depth
     for r in range(arch.n_out):
+        put(ncols + r, r, outputs[r], 1)  # the border column of output r
         for c, g in enumerate(activated[L - 1]):
             if (L, r, c) in column:
                 put(column[L, r, c], r, g, 1)
@@ -306,9 +303,7 @@ def jacobian_at(gmap: GaugedMap, point, domain) -> JacobianSample:
                 kept.append(adj)
         upper = kept
 
-    # Interleaved by output, the rows reach the rank sooner than output-major.
-    interleaved = [row for i in range(span) for row in rows[i::span]]
-    rank = exact_rank(interleaved, domain, dim_upper_bound(arch)) if nrows else 0
+    rank = exact_rank(rows, domain, dim_upper_bound(arch) + n_out) - n_out
     return JacobianSample(rows, rank)
 
 
@@ -320,7 +315,7 @@ def sampling_steps(arch: Architecture, tries: int) -> int:
     output monomials (counted up to the cap) and W free weights, a trial lists
     M*n_0, runs n_L*(W*L + 1) products of up to M terms at 16 steps a term,
     plus 2*bitlen(d_t) per unit of hidden layer t for its power, and
-    eliminates the n_L*(M - 1) x W Jacobian, rows*W*min(rows, W)."""
+    eliminates rows*W*min(rows, W), rows = n_L*(M - 1) (border uncounted)."""
     m = count_monomials(arch.n_in, arch.total_degree)
     w = arch.free_weight_count
     rows = arch.n_out * (m - 1)
@@ -348,13 +343,16 @@ def generic_rank(
     can exceed a rank that meets a proven upper bound, and the witness is
     the first point that reached the best rank either way.
 
-    A trial reads low only where a rank-`cap` minor vanishes.  Each output
-    coefficient has weight degree deg_c = f_L (f_1 = 1, f_t = 1 + d_{t-1} f_{t-1}),
-    so each cleared entry c_0*dc_m - c_m*dc_0 has degree 2*deg_c - 1, that minor
-    has degree cap*(2*deg_c - 1), and by Schwartz-Zippel a trial over F_p reads
-    low with probability at most that over p.  A prime that makes this bound
-    1/2 or more raises ValueError.  The verbs refuse a map whose
-    `sampling_steps` pass the work cap before they build it.
+    A trial reads low only where the rank-`cap` minors of the ratio
+    Jacobian's rows cleared of their denominators, c_0*dc_m - c_m*dc_0, all
+    vanish: by `jacobian_at`'s kernel argument the bordered rank reads low
+    at exactly those points.  Each output coefficient has weight degree
+    deg_c = f_L (f_1 = 1, f_t = 1 + d_{t-1} f_{t-1}), so each cleared entry
+    has degree 2*deg_c - 1, each such minor has degree cap*(2*deg_c - 1), and
+    by Schwartz-Zippel a trial over F_p reads low with probability at most
+    that over p.  A prime that makes this bound 1/2 or more raises
+    ValueError.  The verbs refuse a map whose `sampling_steps` pass the work
+    cap before they build it.
     """
     if tries < 1:
         raise ValueError("tries must be >= 1")
@@ -459,11 +457,11 @@ class BlockRankReport(NamedTuple):
 
 
 def _columns_rank(gmap: GaugedMap, sample: JacobianSample, layers: set[int], domain) -> int:
+    """The rank of the columns of `layers`: theirs and the border's, less n_out."""
+    n, n_out = gmap.domain_dim, gmap.arch.n_out
     cols = [j for j, (layer, _, _) in enumerate(gmap.free) if layer in layers]
-    if not cols or not sample.matrix:
-        return 0
-    sub = [[row[j] for j in cols] for row in sample.matrix]
-    return exact_rank(sub, domain)
+    cols += range(n, n + n_out)
+    return exact_rank([[row[j] for j in cols] for row in sample.matrix], domain) - n_out
 
 
 def block_ranks(gmap: GaugedMap, point, domain) -> BlockRankReport:

@@ -4,9 +4,9 @@
 inputs ``x{i}`` and the free weights ``w{layer}_{row}_{col}`` (gauged
 positions are 1) and splits each output by x-monomial, so every coefficient
 is an exact polynomial in the free weights.  The full map is the same builder
-on the ungauged map (`ungauged`).  Formal partial derivatives (`partial`),
-evaluation (`evaluate`) and the quotient rule then give the gauged Jacobian
-that `rank.jacobian_at` evaluates numerically.  The expansion grows quickly
+on the ungauged map (`ungauged`).  Formal partial derivatives (`partial`)
+and evaluation (`evaluate`) then give the bordered gauged Jacobian that
+`rank.jacobian_at` evaluates numerically.  The expansion grows quickly
 with depth and degree, so only small architectures are affordable.
 
 `tangent_jacobian` is the forward-mode reference for the reverse pass of
@@ -142,34 +142,24 @@ def _tangent_outputs(arch, wvals, powers, activated, layer, row, col, ring):
 
 
 def tangent_jacobian(gmap, point, domain):
-    """The rows of `rank.jacobian_at(gmap, point, domain).matrix`, assembled by
-    one forward tangent pass per free weight over the same cached forward
-    values.  Raises PivotVanishes where `jacobian_at` does."""
+    """The bordered rows of `rank.jacobian_at(gmap, point, domain).matrix`,
+    assembled by one forward tangent pass per free weight over the same
+    cached forward values.  Raises PivotVanishes where `jacobian_at` does."""
     arch = gmap.arch
     ring = Ring([f"x{i}" for i in range(arch.n_in)], domain)
     values = [v.numerator if v.denominator == 1 else v for v in point]
     wvals = gmap.weight_matrices(values, 1)
     outputs, powers, activated = _forward_cached(arch, wvals, ring)
     monos = monomials_of_degree(arch.n_in, arch.total_degree)
-    coeffs = []
-    for out in outputs:
-        vec = [out.terms.get(m, 0) for m in monos]
-        if not vec[0]:
-            raise PivotVanishes(tuple(point))
-        coeffs.append(vec)
-    p = domain.p
-    rows = [[0] * gmap.domain_dim for _ in range(arch.n_out * (len(monos) - 1))]
+    if not all(out.terms.get(monos[0]) for out in outputs):
+        raise PivotVanishes(tuple(point))
+    rows = [[0] * gmap.domain_dim + [out.terms.get(m, 0) if i == ell else 0
+                                     for i in range(arch.n_out)]
+            for m in monos for ell, out in enumerate(outputs)]
     for j, (layer, row, col) in enumerate(gmap.free):
         douts = _tangent_outputs(arch, wvals, powers, activated, layer, row, col, ring)
-        r = 0
-        for ell in range(arch.n_out):
-            dterms = douts[ell].terms
-            cvec = coeffs[ell]
-            c0, dc0 = cvec[0], dterms.get(monos[0], 0)
-            for mi in range(1, len(monos)):
-                num = c0 * dterms.get(monos[mi], 0) - cvec[mi] * dc0
-                rows[r][j] = num % p if p else num
-                r += 1
+        for r, v in enumerate(d.terms.get(m, 0) for m in monos for d in douts):
+            rows[r][j] = v
     return rows
 
 

@@ -256,20 +256,22 @@ def test_echelon_matches_reference_kernel(case):
 
 
 def test_jacobian_depth_three_power_pencil_columns():
-    """All 45 entries of the 9x5 Jacobian at the pinned two-pencil point.
+    """All 45 entries of the 9x5 ratio Jacobian at the pinned two-pencil point.
 
     First layer pinned to (y, x); the two first-layer columns carry the
     rational-normal-curve deformation weights on disjoint coefficient rows,
     the last three columns the tangent data of the second secant.  The
-    entries below are the derivatives of the ratios y_m/y0; `jacobian_at`
-    returns them cleared of the pivot denominator, times y0^2.
+    entries below are the derivatives of the ratios y_m/y0.  `jacobian_at`
+    returns the bordered rows B: the derivatives of y_m, then y_m itself,
+    so y0*B[m][j] - y_m*B[0][j] is the entry times y0^2.
     """
     arch = validate((2, 2, 2, 1), (3, 3))
     gmap = gauge_fix(arch, mask=tctc_gauge_mask())
     b1, b2, c = Fraction(2), Fraction(3), Fraction(5)
     point = (Fraction(0), Fraction(0), b1, b2, c)
     sample = jacobian_at(gmap, point, RATIONALS)
-    assert (len(sample.matrix), len(sample.matrix[0])) == (9, 5)
+    B = sample.matrix
+    assert (len(B), len(B[0])) == (10, 6)
     y0 = c + 1
     y3 = 3 * (c * b1 + b2)
     y6 = 3 * (c * b1 * b1 + b2 * b2)
@@ -285,9 +287,10 @@ def test_jacobian_depth_three_power_pencil_columns():
             9: (b1**3 - b2**3) / y0**2,
         },
     }
+    assert [row[5] for row in B] == [y0, 0, 0, y3, 0, 0, y6, 0, 0, y9]
     for col, entries in expected_cols.items():
         for row_m in range(1, 10):
-            got = sample.matrix[row_m - 1][col]
+            got = y0 * B[row_m][col] - B[row_m][5] * B[0][col]
             assert got == entries.get(row_m, Fraction(0)) * y0**2, (col, row_m)
     assert sample.rank == 5
 
@@ -296,7 +299,7 @@ def test_jacobian_linear_single_output():
     arch = validate((2, 1), ())
     gmap = gauge_fix(arch)
     sample = jacobian_at(gmap, (Fraction(7),), RATIONALS)
-    assert (len(sample.matrix), len(sample.matrix[0])) == (1, 1)
+    assert sample.matrix == [[1, 7], [0, 1]]
     assert sample.rank == 1
     with pytest.raises(PivotVanishes):
         jacobian_at(gmap, (Fraction(0),), RATIONALS)
@@ -307,7 +310,7 @@ def test_jacobian_guiding_example_rank_at_integer_point():
     gmap = gauge_fix(arch)
     point = tuple(Fraction(v) for v in (2, -3, 5, 7, -2, 4, 9, 6))
     sample = jacobian_at(gmap, point, RATIONALS)
-    assert (len(sample.matrix), len(sample.matrix[0])) == (12, 8)
+    assert (len(sample.matrix), len(sample.matrix[0])) == (13, 9)
     assert sample.rank == 8
 
 
@@ -356,7 +359,7 @@ def test_neurovariety_stats_two_output_example():
     gmap = gauge_fix(arch)
     rng = random.Random(404)
     point = tuple(Fraction(rng.randint(-9, 9)) for _ in gmap.free)
-    oracle = symbolic_jacobian(gmap, point)
+    oracle = symbolic_jacobian(gmap, point, ratio=True)
     assert reference_rank(oracle)[0] == 6
 
 
@@ -386,14 +389,19 @@ def test_dim_upper_bound_holds_and_cuts_are_exact():
                 assert report.dim_actual == cut_rank, (arch, k)
 
 
-def test_cleared_jacobian_has_the_ratio_jacobians_rank_on_bound_grid():
-    # Each cleared row is the ratio row times c0^2 != 0: at the same point the
-    # rank of `jacobian_at` equals the oracle's rank of the ratio Jacobian, over
-    # Q and over F_p, on every row of the grid.  Over Q at these integral
-    # points every entry is an int.
+def test_jacobian_rank_is_the_ratio_jacobians_rank():
+    # At the same point the bordered rank of `jacobian_at` less n_out equals
+    # the oracle's rank of the ratio Jacobian, over Q and over F_p, on every
+    # row of the grid, the tctc-gauged (2,2,2,1)/(3,3) and a depth-4 map
+    # through a width-1 layer.  Over Q at these integral points every entry
+    # is an int.
     p = PRIME.p
-    for arch in _bound_grid():
-        gmap = gauge_fix(arch)
+    gmaps = [gauge_fix(arch) for arch in _bound_grid()] + [
+        gauge_fix(validate((2, 2, 2, 1), (3, 3)), mask=tctc_gauge_mask()),
+        gauge_fix(validate((2, 3, 1, 3, 1), (2, 2, 2))),
+    ]
+    for gmap in gmaps:
+        arch = gmap.arch
         rng = random.Random(derive_seed(arch.label()))
         while True:
             point = tuple(RATIONALS.sample(rng) for _ in gmap.free)
@@ -543,27 +551,29 @@ def test_dim_actual_bounded_by_expected_dimensions():
 
 
 def symbolic_jacobian(gmap, point, ratio=False):
-    """Differentiate the gauged symbolic coefficient ratios directly.
+    """Differentiate the gauged symbolic coefficients directly.
 
     Independent of the value and adjoint passes: uses the oracle's symbolic
-    map, formal partial derivatives, and the quotient rule's numerator
-    den*dnum - num*dden, the derivative of num/den cleared of den^2 as
-    `jacobian_at` clears it; with `ratio`, the derivative of num/den itself.
-    `point` lists the free weights' values in the oracle ring's variable order.
+    map and formal partial derivatives.  Returns the bordered rows of
+    `jacobian_at`, the derivatives of coefficient m of output l and then
+    that coefficient in output l's border column, row m*n_out + l; with
+    `ratio`, the Jacobian of the ratios num/den themselves, by the quotient
+    rule.  `point` lists the free weights' values in the oracle ring's
+    variable order.
     """
     vectors, ring = symbolic_map(gmap)
+    if not ratio:
+        return [[evaluate(partial(c, theta), point) for theta in ring.names]
+                + [evaluate(c, point) if i == ell else 0 for i in range(len(vectors))]
+                for coeffs in zip(*vectors) for ell, c in enumerate(coeffs)]
     rows = []
     for den, *nums in vectors:
         den_v = evaluate(den, point)
         for num in nums:
             num_v = evaluate(num, point)
-            row = []
-            for theta in ring.names:
-                dnum = evaluate(partial(num, theta), point)
-                dden = evaluate(partial(den, theta), point)
-                cleared = den_v * dnum - num_v * dden
-                row.append(Fraction(cleared, den_v * den_v) if ratio else cleared)
-            rows.append(row)
+            rows.append([Fraction(den_v * evaluate(partial(num, theta), point)
+                                  - num_v * evaluate(partial(den, theta), point), den_v * den_v)
+                         for theta in ring.names])
     return rows
 
 
@@ -622,10 +632,10 @@ def test_adjoint_jacobian_matches_tangent_reference():
                 except PivotVanishes:
                     continue
             assert sample.matrix == tangent_jacobian(gmap, point, domain), gmap.arch.label()
-            # The rank stopped at the proven bound is the whole matrix's rank.
-            if sample.matrix:
-                reference = reference_echelon(*_integer_rows(sample.matrix, domain))
-                assert sample.rank == len(reference), gmap.arch.label()
+            # The rank stopped at the proven bound is the whole bordered
+            # matrix's rank less its border.
+            reference = reference_echelon(*_integer_rows(sample.matrix, domain))
+            assert sample.rank == len(reference) - gmap.arch.n_out, gmap.arch.label()
 
 
 def test_rank_agrees_across_domains():

@@ -546,7 +546,7 @@ def test_scan_skips_rows_past_the_work_cap(capsys):
                             "1 skipped past the work cap\n")
 
 
-def test_grid_architectures_counts_rows_past_the_cap(work_cap):
+def test_grid_architectures_counts_rows_past_the_cap(work_cap, capsys):
     spec = ScanSpec(depths=(2,), min_width=2, max_width=2, max_out_width=1, max_degree=3)
     small, large = (validate((2, 2, 1), (d,)) for d in (2, 3))
     steps = rank_module.sampling_steps(small, spec.tries)
@@ -554,6 +554,12 @@ def test_grid_architectures_counts_rows_past_the_cap(work_cap):
     work_cap(steps)
     assert grid_architectures(spec) == ([small], 1)
     assert [row.arch for row in scan(spec, workers=1)] == [small]
+    # `dims` charges the three re-check tries of --confirm-rational only over
+    # a prime field; over Q the flag runs nothing and costs nothing.
+    dims = ["dims", "-n", "2,2,1", "-d", "2", "--confirm-rational"]
+    assert main(dims + ["--field", "rational"]) == 0
+    assert main(dims) == 1
+    assert "steps of work, past the cap" in capsys.readouterr().err
 
 
 def test_cli_scan_defaults_are_scan_spec_defaults(monkeypatch, capsys):

@@ -41,7 +41,8 @@ def _golden_steps(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "dims":
         arch = validate(_int_list(args.widths), _int_list(args.degrees))
-        return sampling_steps(arch, args.tries + 3 * args.confirm_rational)
+        confirm = args.confirm_rational and args.field == "prime"
+        return sampling_steps(arch, args.tries + 3 * confirm)
     if args.command == "check":
         return verdict_steps(validate(_int_list(args.widths), _int_list(args.degrees)))
     if args.command == "veronese-secant":
