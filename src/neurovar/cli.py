@@ -17,8 +17,6 @@ Reports depend on the arguments alone: every --seed defaults to
 (bound them with `taskset`), with the same rows on any schedule.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -13,8 +13,6 @@ p of order 2^60 a random specialization is an extremely reliable proxy for a
 generic one.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 

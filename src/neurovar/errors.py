@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
 
 class NeurovarError(Exception):
     """Base class for all package errors."""

@@ -17,15 +17,10 @@ point without forming the coefficient map.  Weights are addressed by their
 names them.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
 from .errors import DegreeBelowTwo, LengthMismatch, WidthZero
-
-# A gauge mask lists, per layer, the (row, col) weight positions fixed to 1.
-GaugeMask = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class Architecture(NamedTuple):
@@ -97,33 +92,16 @@ def validate(widths, degrees=()) -> Architecture:
     return Architecture(widths, degrees)
 
 
-def last_column_gauge(arch: Architecture) -> GaugeMask:
-    """The standard gauge: the last column of every W_i is fixed to 1."""
-    return tuple(
-        tuple((r, arch.widths[i - 1] - 1) for r in range(arch.widths[i]))
-        for i in range(1, arch.depth + 1)
-    )
-
-
-def weight_positions(arch: Architecture) -> list[tuple[int, int, int]]:
-    """All (layer, row, col) weight positions, layer-major then row-major."""
-    out = []
-    for i in range(1, arch.depth + 1):
-        for r in range(arch.widths[i]):
-            for c in range(arch.widths[i - 1]):
-                out.append((i, r, c))
-    return out
-
-
 class GaugedMap(NamedTuple):
     """The affine parameterization: free weights -> non-pivot coefficient ratios.
 
-    `free` lists the (layer, row, col) positions of the free weights in
-    position order (layer-major, then row-major); it is the order of a sample
-    point's values and of the Jacobian columns.  Every other position is
-    gauged to 1.  Per output, every coefficient is divided by the pivot, the
-    coefficient of x0^D (index 0 in lexicographic order), and the pivot
-    coordinate itself is dropped.  Domain dimension is the free-weight count,
+    `free` is the gauge: it lists the (layer, row, col) positions of the free
+    weights in position order (layer-major, then row-major), the order of a
+    sample point's values and of the Jacobian columns, and every other
+    position is fixed to 1.  `gauge_fix` builds the standard gauge; any other
+    gauge is `GaugedMap(arch, free)` with its own free positions.  Per output,
+    every coefficient is divided by the pivot, the coefficient of x0^D (index
+    0 in lexicographic order), and the pivot coordinate itself is dropped.  Domain dimension is the free-weight count,
     target dimension n_L*(binom(n_0-1+D, n_0-1)-1).
     """
 
@@ -148,14 +126,15 @@ class GaugedMap(NamedTuple):
         return mats
 
 
-def gauge_fix(arch: Architecture, mask: GaugeMask | None = None) -> GaugedMap:
-    """Fix the gauge (standard: last columns to 1) and list the free positions.
+def gauge_fix(arch: Architecture) -> GaugedMap:
+    """The standard gauge: the last column of every W_i is fixed to 1, and
+    every (i, r, c) with c < n_{i-1} - 1 is free, in position order.
 
     The pivot of every output is index 0, the coefficient of x0^D; sampling
     resamples any point where it vanishes.
     """
-    if mask is None:
-        mask = last_column_gauge(arch)
-    fixed = [set(layer) for layer in mask]
-    free = tuple(pos for pos in weight_positions(arch) if pos[1:] not in fixed[pos[0] - 1])
+    w = arch.widths
+    free = tuple(
+        (i, r, c) for i in range(1, len(w)) for r in range(w[i]) for c in range(w[i - 1] - 1)
+    )
     return GaugedMap(arch, free)

@@ -34,8 +34,6 @@ mod p.  Fraction coefficients (the test oracle's symbolic map, points that
 are not integral) and non-homogeneous factors stay on the pair loop.
 """
 
-from __future__ import annotations
-
 from itertools import product
 from math import log10
 from operator import add, mul

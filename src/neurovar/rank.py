@@ -42,8 +42,6 @@ bound is the answer; otherwise the routine runs again over the integers.
 Either way it is exact.
 """
 
-from __future__ import annotations
-
 import hashlib
 import random
 from math import gcd, lcm

@@ -8,8 +8,6 @@ serialize to JSON or CSV with a fixed column set; all values are exact
 scan with the same spec and seed reproduces every row.
 """
 
-from __future__ import annotations
-
 import io
 import json
 import os

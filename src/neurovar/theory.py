@@ -6,8 +6,6 @@ of defective Veronese secant varieties, and the combined verdict that predicts
 non-defectiveness (single output) or global identifiability (multi output).
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -65,8 +63,9 @@ def dim_upper_bound(arch: Architecture) -> int:
     of F_k.  Dividing each output by its pivot coefficient removes c_l, so
     the gauged image is the image of the cut network's gauged image under
     [F_k] -> [F_k^(D/D_k)], which is finite-to-one; the two images have the
-    same dimension, and the cut's expected dimension bounds it.  A gauge
-    mask only restricts the parameters, so the bound holds under any mask.
+    same dimension, and the cut's expected dimension bounds it.  Fixing
+    weights only restricts the parameters, so the bound holds for every
+    `GaugedMap`.
     """
     bound = expected_dim(arch)
     for k in range(1, arch.depth):

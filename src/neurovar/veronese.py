@@ -33,8 +33,6 @@ every power, with the monomials listed once per scan.  No polynomial object
 is built here: a form is a coefficient row, a relation a coordinate pair.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from typing import NamedTuple

@@ -41,7 +41,7 @@ from typing import Mapping
 
 from neurovar.domains import RATIONALS
 from neurovar.errors import PivotVanishes
-from neurovar.network import gauge_fix
+from neurovar.network import GaugedMap
 from neurovar.poly import Ring, SparsePoly, monomials_of_degree
 from neurovar.rank import _forward_cached, _integer_rows, auto_prime_field, derive_seed
 from neurovar.veronese import (
@@ -57,8 +57,12 @@ def weight_name(layer, row, col):
 
 
 def ungauged(arch):
-    """The GaugedMap with every weight free."""
-    return gauge_fix(arch, ((),) * arch.depth)
+    """The GaugedMap with every weight free, in position order."""
+    w = arch.widths
+    free = tuple(
+        (i, r, c) for i in range(1, len(w)) for r in range(w[i]) for c in range(w[i - 1])
+    )
+    return GaugedMap(arch, free)
 
 
 def network_ring(gmap):

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from neurovar.network import GaugedMap, validate
 from neurovar.poly import SparsePoly
 from neurovar.scan import REPORT_KEYS
 from oracle import weight_name
@@ -101,10 +102,12 @@ def reference_rank(rows, p=0):
     return rank, m[:rank]
 
 
-def tctc_gauge_mask():
-    """Gauge pinning the first layer's off-diagonal to 1 (standard elsewhere),
-    so that at a11 = a22 = 0 the two first-layer forms are exactly (y, x)."""
-    return (((0, 1), (1, 0)), ((0, 1), (1, 1)), ((0, 1),))
+def tctc_gauge():
+    """Criterion 3's gauged (2,2,2,1)/(3,3): the first layer's off-diagonal is
+    fixed to 1 (the standard last columns elsewhere), so that at a11 = a22 = 0
+    the two first-layer forms are exactly (y, x)."""
+    free = ((1, 0, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (3, 0, 0))
+    return GaugedMap(validate((2, 2, 2, 1), (3, 3)), free)
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 
 from oracle import is_zero, symbolic_map, ungauged
-from support import expected_quartic_coefficients, run_cli, tctc_gauge_mask
+from support import expected_quartic_coefficients, run_cli, tctc_gauge
 
 from neurovar.domains import RATIONALS
 from neurovar.network import gauge_fix, validate
@@ -95,8 +95,7 @@ def test_criterion_03_depth_three_example():
     for key, want in (("expdim_refined", 5), ("dim_actual", 5), ("defective", False)):
         if record[key] != want:
             failures.append(f"{key} = {record[key]}, wanted {want}")
-    arch = validate((2, 2, 2, 1), (3, 3))
-    gmap = gauge_fix(arch, mask=tctc_gauge_mask())
+    gmap = tctc_gauge()
     point = (Fraction(0), Fraction(0), Fraction(2), Fraction(3), Fraction(5))
     blocks = block_ranks(gmap, point, RATIONALS)
     if (blocks.normal_rank, blocks.last_rank) != (2, 3):

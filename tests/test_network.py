@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from neurovar.errors import DegreeBelowTwo, LengthMismatch, WidthZero
-from neurovar.network import gauge_fix, last_column_gauge, validate
+from neurovar.network import gauge_fix, validate
 from neurovar.poly import Ring, monomials_of_degree, poly_pow
 from oracle import (
     const,
@@ -21,7 +21,7 @@ from oracle import (
     ungauged,
     weight_name,
 )
-from support import expected_quartic_coefficients, tctc_gauge_mask
+from support import expected_quartic_coefficients, tctc_gauge
 
 # -- validate -----------------------------------------------------------------
 
@@ -90,8 +90,8 @@ def test_forward_linear_network_is_matrix_action():
 def test_forward_power_pencil_at_gauge_point():
     # With the first layer pinned to (y, x), each output is a combination of
     # cubes from the pencil <y^3, x^3>.
-    arch = validate((2, 2, 2, 1), (3, 3))
-    gmap = gauge_fix(arch, mask=tctc_gauge_mask())
+    gmap = tctc_gauge()
+    arch = gmap.arch
     ring = network_ring(gmap)
     at_zero = ((1, 0, 0), (1, 1, 1))
     weights = gmap.weight_matrices(
@@ -261,14 +261,19 @@ def test_gauge_fix_linear_single_output():
 
 
 def test_gauge_fix_custom_mask_free_names():
-    arch = validate((2, 2, 2, 1), (3, 3))
-    gmap = gauge_fix(arch, mask=tctc_gauge_mask())
+    # Criterion 3's gauge is its free positions; every other one is fixed to 1.
+    gmap = tctc_gauge()
     assert gmap.free == ((1, 0, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0), (3, 0, 0))
+    ones = gmap.weight_matrices(["w"] * gmap.domain_dim, 1)
+    assert ones == [[["w", 1], [1, "w"]], [["w", 1], ["w", 1]], [["w", 1]]]
 
 
 def test_default_gauge_masks_last_columns():
+    # The standard gauge fixes exactly the last column of every W_i to 1.
     arch = validate((2, 3, 2, 1), (4, 3))
-    mask = last_column_gauge(arch)
-    assert mask[0] == ((0, 1), (1, 1), (2, 1))
-    assert mask[1] == ((0, 2), (1, 2))
-    assert mask[2] == ((0, 1),)
+    gmap = gauge_fix(arch)
+    mats = gmap.weight_matrices(list(gmap.free), 1)
+    fixed = [(i, r, c) for i, mat in enumerate(mats, start=1)
+             for r, row in enumerate(mat) for c, v in enumerate(row) if v == 1]
+    assert fixed == [(1, 0, 1), (1, 1, 1), (1, 2, 1), (2, 0, 2), (2, 1, 2), (3, 0, 1)]
+    assert len(gmap.free) + len(fixed) == 3 * 2 + 2 * 3 + 1 * 2

@@ -19,7 +19,7 @@ from oracle import (
     symbolic_map,
     tangent_jacobian,
 )
-from support import reference_rank, tctc_gauge_mask
+from support import reference_rank, tctc_gauge
 
 import neurovar.rank as rank_module
 from neurovar.rank import (
@@ -265,8 +265,7 @@ def test_jacobian_depth_three_power_pencil_columns():
     returns the bordered rows B: the derivatives of y_m, then y_m itself,
     so y0*B[m][j] - y_m*B[0][j] is the entry times y0^2.
     """
-    arch = validate((2, 2, 2, 1), (3, 3))
-    gmap = gauge_fix(arch, mask=tctc_gauge_mask())
+    gmap = tctc_gauge()
     b1, b2, c = Fraction(2), Fraction(3), Fraction(5)
     point = (Fraction(0), Fraction(0), b1, b2, c)
     sample = jacobian_at(gmap, point, RATIONALS)
@@ -397,7 +396,7 @@ def test_jacobian_rank_is_the_ratio_jacobians_rank():
     # is an int.
     p = PRIME.p
     gmaps = [gauge_fix(arch) for arch in _bound_grid()] + [
-        gauge_fix(validate((2, 2, 2, 1), (3, 3)), mask=tctc_gauge_mask()),
+        tctc_gauge(),
         gauge_fix(validate((2, 3, 1, 3, 1), (2, 2, 2))),
     ]
     for gmap in gmaps:
@@ -480,8 +479,7 @@ def test_generic_rank_stops_at_upper_bound(widths, degrees, rank, draws, monkeyp
 
 
 def test_block_ranks_power_pencil_point():
-    arch = validate((2, 2, 2, 1), (3, 3))
-    gmap = gauge_fix(arch, mask=tctc_gauge_mask())
+    gmap = tctc_gauge()
     point = (Fraction(0), Fraction(0), Fraction(2), Fraction(3), Fraction(5))
     report = block_ranks(gmap, point, RATIONALS)
     assert report.normal_rank == 2
@@ -578,7 +576,7 @@ def symbolic_jacobian(gmap, point, ratio=False):
 
 
 @pytest.mark.parametrize(
-    "widths,degrees,mask",
+    "widths,degrees,gauge",
     [
         ((2, 2, 1), (2,), None),
         ((3, 2, 1), (2,), None),
@@ -590,9 +588,8 @@ def symbolic_jacobian(gmap, point, ratio=False):
         ((2, 2, 2, 1), (3, 3), "tctc"),
     ],
 )
-def test_forward_tangents_match_symbolic_derivatives(widths, degrees, mask):
-    arch = validate(widths, degrees)
-    gmap = gauge_fix(arch, mask=tctc_gauge_mask() if mask else None)
+def test_forward_tangents_match_symbolic_derivatives(widths, degrees, gauge):
+    gmap = tctc_gauge() if gauge else gauge_fix(validate(widths, degrees))
     assert gmap.domain_dim <= 8
     rng = random.Random(hash((widths, degrees)) & 0xFFFF)
     for _ in range(3):
@@ -617,7 +614,7 @@ def test_adjoint_jacobian_matches_tangent_reference():
             + grid_architectures(ScanSpec(depths=(4,), max_width=2, **bounds))[0])
     gmaps = [gauge_fix(arch) for arch in grid] + [
         gauge_fix(validate((2, 3), ())),
-        gauge_fix(validate((2, 2, 2, 1), (3, 3)), mask=tctc_gauge_mask()),
+        tctc_gauge(),
     ]
     rng = random.Random(11)
     for domain in (PrimeField(7919), auto_prime_field(1729), RATIONALS):

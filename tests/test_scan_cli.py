@@ -20,8 +20,9 @@ import neurovar.rank as rank_module
 import neurovar.scan as scan_module
 import neurovar.veronese as veronese_module
 from neurovar.cli import main
-from neurovar.errors import AmbientTooLarge
+from neurovar.errors import AmbientTooLarge, PivotVanishes
 from neurovar.network import gauge_fix, validate
+from neurovar.rank import generic_rank
 from neurovar.scan import (
     REPORT_KEYS,
     ScanSpec,
@@ -324,6 +325,51 @@ def test_agreement_flag_reports_necessity_findings():
     )
     assert row.report.defective is False
     assert row.verdict.label() == "RoomFails(1)"
+
+
+def test_cli_scan_flags_a_forward_disagreement(capsys):
+    # (3,5,2,1)/(3,3) passes every sufficient condition, yet samples one
+    # below its refined expected dimension: a forward finding, flagged.
+    argv = ["scan", "--depths", "3", "--min-width", "2", "--max-width", "5", "--max-out", "1",
+            "--min-degree", "3", "--max-degree", "3", "--max-free", "19",
+            "--max-ambient", "55", "--csv"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("scanned 23 architectures: 1 disagreements, 0 errors, ")
+    assert "  disagreement: n=(3,5,2,1) d=(3,3)" in captured.err.splitlines()
+    (row,) = [r for r in parse_report(captured.out, "csv") if r["arch"] == [3, 5, 2, 1]]
+    assert row["verdict"] == "PredictedNonDefective"
+    assert (row["expdim_refined"], row["dim_actual"], row["defective"]) == (19, 18, True)
+
+
+def test_cli_scan_records_a_row_error(monkeypatch, capsys):
+    # Every sampled point loses its pivot: the one row (serial, in this
+    # process) records the error in its verdict cell and the scan exits 3.
+    def vanishing(gmap, point, domain):
+        raise PivotVanishes(tuple(point))
+
+    monkeypatch.setattr(rank_module, "jacobian_at", vanishing)
+    assert main(["scan", "--depths", "2", "--max-width", "1", "--max-degree", "2", "--csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0].endswith(" 1 errors, 0 skipped past the work cap")
+    (row,) = parse_report(captured.out, "csv")
+    assert row["verdict"].startswith("SamplingExhausted: 1000 consecutive pivot failures")
+    report_keys = set(REPORT_KEYS) - {"arch", "degrees", "verdict", "wall_ms"}
+    assert all(row[k] is None for k in report_keys), row
+
+
+def test_cli_dims_confirm_rational_mismatch_exits_1(monkeypatch, capsys):
+    # A rational re-check that reads lower than the prime-field rank fails
+    # the run with one warning and no report.
+    def one_lower(gmap, tries, seed, domain):
+        rank, witness = generic_rank(gmap, tries=tries, seed=seed, domain=domain)
+        return rank - 1, witness
+
+    monkeypatch.setattr(cli_module, "generic_rank", one_lower)
+    assert main(["dims", "-n", "2,2,2,2", "-d", "3,3", "--confirm-rational"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "warning: rational re-check rank 5 != prime-field rank 6\n"
 
 
 def test_emit_report_three_named_examples():

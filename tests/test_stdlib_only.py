@@ -3,7 +3,7 @@
 numpy and other third-party packages may be installed where the tests run, so
 a stray import would pass every other test; this one reads the imports off
 the source instead of importing it.  Every `neurovar` process pays for what
-importing the command line loads, so the test below pins what it leaves out.
+importing the command line loads, so the tests below pin what it leaves out.
 """
 
 import ast
@@ -43,3 +43,22 @@ def test_cli_import_loads_no_dataclasses_or_csv():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
+def test_record_annotations_are_not_compiled_at_import():
+    # Under PEP 563 every `NamedTuple` field annotation is a string that
+    # `typing` turns into a `ForwardRef` and compiles at import.
+    code = ("import typing\n"
+            "count = 0\n"
+            "init = typing.ForwardRef.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    global count\n"
+            "    count += 1\n"
+            "    init(self, *args, **kwargs)\n"
+            "typing.ForwardRef.__init__ = counting\n"
+            "import neurovar.cli, neurovar.scan, neurovar.veronese\n"
+            "print(count)")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "0\n", proc.stdout + proc.stderr
